@@ -12,6 +12,10 @@
 #   5b. campaign smoke    — bench_ecc_campaign over the codec zoo: JSON
 #                           shape, scramble verdicts, and worker-count
 #                           independence (byte-identical files)
+#   5c. perfbench smoke   — build perfbench/ (its own CMake package over
+#                           src/) into build-perfbench/ and run one short
+#                           pass per workload, the machine workloads
+#                           traced so their equivalence gate runs
 #   6. trace smoke        — a traced safemem_run workload decoded with
 #                           trace_dump (records + --summary); fail on
 #                           malformed JSON-lines
@@ -171,6 +175,21 @@ assert doubles["miscorrected"] > 0 and doubles["detected"] == 0, doubles
 print(f"campaign smoke: 3 codecs x {len(by_spec['hsiao']['cells'])} "
       f"cells, verdicts and CDFs well-formed")
 PYEOF
+}
+
+perfbench_smoke() {
+    # perfbench/ compiles ../src as a separate package that no stage
+    # above builds, so a src/ change could break the benchmark or its
+    # traced equivalence gate unseen. run.py exits non-zero when the
+    # build or any of the benchmark's own checks fails.
+    local status=0
+    CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py \
+        --workload ecc_campaign --seconds 1 --trace 0 || status=1
+    for workload in paper_sweep production; do
+        CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py \
+            --workload "$workload" --seconds 1 --trace 1 || status=1
+    done
+    return "$status"
 }
 
 trace_smoke() {
@@ -507,6 +526,7 @@ stage "tsan ctest" build_and_test build-tsan -DSAFEMEM_TSAN=ON
 stage "bench smoke (hotpath --json)" bench_smoke
 stage "bench smoke (matrix --json)" matrix_smoke
 stage "campaign smoke (ecc codec zoo)" campaign_smoke
+stage "perfbench smoke (perfbench/run.py, every workload)" perfbench_smoke
 stage "trace smoke (safemem_run --trace + trace_dump)" trace_smoke
 stage "multiproc smoke (--procs 2, serial vs parallel)" multiproc_smoke
 stage "bank smoke (--banks 4 sweep + bench_banked)" bank_smoke

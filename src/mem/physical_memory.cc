@@ -1,13 +1,43 @@
 #include "mem/physical_memory.h"
 
+#include <sys/mman.h>
+
 #include "common/logging.h"
 #include "ecc/edc.h"
 
 namespace safemem {
 
-PhysicalMemory::PhysicalMemory(std::size_t bytes, int check_bits,
-                               ProtectionGeometry geometry)
-    : bytes_(bytes), checkBits_(check_bits), geometry_(geometry)
+template <typename T>
+ZeroLane<T>::ZeroLane(std::size_t count) : count_(count)
+{
+    if (count == 0)
+        return;
+    // Private anonymous pages read as zero until first written, and
+    // MAP_NORESERVE commits no swap for the untouched remainder.
+    void *base = mmap(nullptr, count * sizeof(T), PROT_READ | PROT_WRITE,
+                      MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+    if (base == MAP_FAILED)
+        fatal("PhysicalMemory: cannot map a lane of ", count * sizeof(T),
+              " bytes");
+    cells_ = static_cast<T *>(base);
+}
+
+template <typename T>
+ZeroLane<T>::~ZeroLane()
+{
+    if (cells_)
+        munmap(cells_, count_ * sizeof(T));
+}
+
+template class ZeroLane<std::uint8_t>;
+template class ZeroLane<std::uint64_t>;
+
+namespace {
+
+/** Validate the DIMM's parameters before any lane is mapped. */
+std::size_t
+checkedCapacity(std::size_t bytes, int check_bits,
+                const ProtectionGeometry &geometry)
 {
     if (bytes == 0 || !isAligned(bytes, kCacheLineSize))
         fatal("PhysicalMemory: capacity ", bytes,
@@ -15,18 +45,22 @@ PhysicalMemory::PhysicalMemory(std::size_t bytes, int check_bits,
     if (check_bits < 1 || check_bits > 8)
         fatal("PhysicalMemory: check lane of ", check_bits,
               " bits does not fit the DIMM's check byte");
-    if (!geometry_.isWord() &&
-        !validCodewordBytes(geometry_.codewordBytes))
+    if (!geometry.isWord() && !validCodewordBytes(geometry.codewordBytes))
         fatal("PhysicalMemory: unsupported codeword size ",
-              geometry_.codewordBytes);
-    words_.assign(bytes / kEccGroupSize, 0);
-    // All-zero data has all-zero check bits under any linear code, so
-    // fresh memory decodes cleanly without an explicit init pass.
-    checks_.assign(bytes / kEccGroupSize, 0);
-    // The EDC lane starts consistent with the all-zero data.
-    if (!geometry_.isWord())
-        edc_.assign(bytes / kCacheLineSize,
-                    edcZeroLineFold(geometry_.edc));
+              geometry.codewordBytes);
+    return bytes;
+}
+
+} // namespace
+
+PhysicalMemory::PhysicalMemory(std::size_t bytes, int check_bits,
+                               ProtectionGeometry geometry)
+    : bytes_(checkedCapacity(bytes, check_bits, geometry)),
+      checkBits_(check_bits), geometry_(geometry),
+      words_(bytes / kEccGroupSize), checks_(bytes / kEccGroupSize),
+      edc_(geometry.isWord() ? 0 : bytes / kCacheLineSize),
+      edcZero_(geometry.isWord() ? 0 : edcZeroLineFold(geometry.edc))
+{
 }
 
 std::size_t
@@ -94,13 +128,13 @@ PhysicalMemory::lineIndex(PhysAddr addr) const
 std::uint64_t
 PhysicalMemory::readEdc(PhysAddr line_addr) const
 {
-    return edc_[lineIndex(line_addr)];
+    return edc_[lineIndex(line_addr)] ^ edcZero_;
 }
 
 void
 PhysicalMemory::writeEdc(PhysAddr line_addr, std::uint64_t fold)
 {
-    edc_[lineIndex(line_addr)] = fold;
+    edc_[lineIndex(line_addr)] = fold ^ edcZero_;
 }
 
 void

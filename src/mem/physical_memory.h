@@ -9,17 +9,46 @@
  * physically has. Raw accessors here neither charge cycles nor validate
  * codes; they are what the controller's datapath and the test
  * fault-injection hooks are built from.
+ *
+ * Every lane is an anonymous zero-fill host mapping (ZeroLane): booting
+ * a DIMM costs O(1) host work whatever its capacity, and only the pages
+ * a run writes become resident.
  */
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <vector>
 
 #include "common/types.h"
 #include "ecc/geometry.h"
 
 namespace safemem {
+
+/**
+ * A lane of @c T cells on an anonymous zero-fill host mapping: every
+ * cell reads as zero until written, and construction and destruction
+ * cost O(1) host work. A zero-length lane maps nothing and is empty().
+ * Instantiated for the DIMM's 8-bit and 64-bit lanes only.
+ */
+template <typename T>
+class ZeroLane
+{
+  public:
+    /** Map @p count cells; fatal() if the host cannot map them. */
+    explicit ZeroLane(std::size_t count);
+    ~ZeroLane();
+    ZeroLane(const ZeroLane &) = delete;
+    ZeroLane &operator=(const ZeroLane &) = delete;
+
+    bool empty() const { return cells_ == nullptr; }
+    T &operator[](std::size_t i) { return cells_[i]; }
+    T operator[](std::size_t i) const { return cells_[i]; }
+
+  private:
+    T *cells_ = nullptr;
+    std::size_t count_;
+};
 
 class PhysicalMemory
 {
@@ -95,10 +124,16 @@ class PhysicalMemory
     std::size_t bytes_;
     int checkBits_;
     ProtectionGeometry geometry_;
-    std::vector<std::uint64_t> words_;
-    std::vector<std::uint8_t> checks_;
-    /** EDC lane: one fold word per line; empty for word geometry. */
-    std::vector<std::uint64_t> edc_;
+    ZeroLane<std::uint64_t> words_;
+    /** Zero check bytes are exact for zero data under any linear code. */
+    ZeroLane<std::uint8_t> checks_;
+    /**
+     * EDC lane: one fold word per line, empty for word geometry. Each
+     * fold is stored XORed with edcZero_, the all-zero line's fold, so
+     * zero-filled storage reads as consistent with zero data.
+     */
+    ZeroLane<std::uint64_t> edc_;
+    std::uint64_t edcZero_;
 };
 
 } // namespace safemem

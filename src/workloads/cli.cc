@@ -1,5 +1,6 @@
 #include "workloads/cli.h"
 
+#include <charconv>
 #include <fstream>
 #include <memory>
 #include <sstream>
@@ -106,37 +107,57 @@ parseCliArguments(const std::vector<std::string> &args)
         }
         return &args[i++];
     };
+    // Every numeric flag: the whole value must be decimal digits in the
+    // range of @p out's type, so a sign, a space, a suffix or an
+    // overflow is rejected rather than thrown, wrapped or narrowed.
+    auto need_count = [&]<typename T>(const std::string &flag,
+                                      T &out) -> bool {
+        const std::string *value = need_value(flag);
+        if (!value)
+            return false;
+        const char *end = value->data() + value->size();
+        auto [stop, error] = std::from_chars(value->data(), end, out);
+        if (error == std::errc{} && stop == end)
+            return true;
+        result.message = flag + " needs a whole number in range, not '" +
+                         *value + "'\n\n" + cliUsage();
+        return false;
+    };
 
     if (options.campaign) {
+        CampaignConfig &config = options.campaignConfig;
         while (i < args.size()) {
             const std::string &arg = args[i++];
-            if (arg != "--codec" && arg != "--samples" &&
-                arg != "--seed" && arg != "--workers" && arg != "--out") {
-                result.message =
-                    "unknown campaign option '" + arg + "'\n\n" +
-                    cliUsage();
-                return result;
-            }
-            const std::string *value = need_value(arg);
-            if (!value)
-                return result;
-            if (arg == "--codec") {
+            if (arg == "--samples") {
+                if (!need_count(arg, config.samples))
+                    return result;
+            } else if (arg == "--seed") {
+                if (!need_count(arg, config.seed))
+                    return result;
+            } else if (arg == "--workers") {
+                if (!need_count(arg, config.workers))
+                    return result;
+            } else if (arg == "--codec") {
+                const std::string *value = need_value(arg);
+                if (!value)
+                    return result;
                 auto spec = parseCodecSpec(*value);
                 if (!spec) {
                     result.message = "unknown codec '" + *value + "'\n\n" +
                                      cliUsage();
                     return result;
                 }
-                options.campaignConfig.codecs.push_back(*spec);
-            } else if (arg == "--samples") {
-                options.campaignConfig.samples = std::stoull(*value);
-            } else if (arg == "--seed") {
-                options.campaignConfig.seed = std::stoull(*value);
-            } else if (arg == "--workers") {
-                options.campaignConfig.workers =
-                    static_cast<unsigned>(std::stoul(*value));
+                config.codecs.push_back(*spec);
             } else if (arg == "--out") {
+                const std::string *value = need_value(arg);
+                if (!value)
+                    return result;
                 options.campaignOut = *value;
+            } else {
+                result.message =
+                    "unknown campaign option '" + arg + "'\n\n" +
+                    cliUsage();
+                return result;
             }
         }
         result.options = options;
@@ -168,15 +189,11 @@ parseCliArguments(const std::vector<std::string> &args)
             }
             options.tool = *kind;
         } else if (arg == "--requests") {
-            const std::string *value = need_value("--requests");
-            if (!value)
+            if (!need_count(arg, options.params.requests))
                 return result;
-            options.params.requests = std::stoull(*value);
         } else if (arg == "--seed") {
-            const std::string *value = need_value("--seed");
-            if (!value)
+            if (!need_count(arg, options.params.seed))
                 return result;
-            options.params.seed = std::stoull(*value);
         } else if (arg == "--sample-rate") {
             const std::string *value = need_value("--sample-rate");
             if (!value)
@@ -222,28 +239,19 @@ parseCliArguments(const std::vector<std::string> &args)
             }
             options.params.geometry = *geometry;
         } else if (arg == "--workers") {
-            const std::string *value = need_value("--workers");
-            if (!value)
+            if (!need_count(arg, options.workers))
                 return result;
-            options.workers =
-                static_cast<unsigned>(std::stoul(*value));
         } else if (arg == "--procs") {
-            const std::string *value = need_value("--procs");
-            if (!value)
+            if (!need_count(arg, options.procs))
                 return result;
-            options.procs =
-                static_cast<std::uint32_t>(std::stoul(*value));
             if (options.procs < 1) {
                 result.message =
                     "--procs needs at least 1\n\n" + cliUsage();
                 return result;
             }
         } else if (arg == "--banks") {
-            const std::string *value = need_value("--banks");
-            if (!value)
+            if (!need_count(arg, options.params.banks))
                 return result;
-            options.params.banks =
-                static_cast<std::uint32_t>(std::stoul(*value));
             if (options.params.banks < 1 ||
                 options.params.banks > kMaxMemoryBanks) {
                 result.message = "--banks needs 1-" +
@@ -313,23 +321,27 @@ traceLabel(const RunSpec &spec)
 
 } // namespace
 
-std::string
+CliRun
 runCli(const CliOptions &options)
 {
+    CliRun run;
     if (options.campaign) {
         CampaignResult campaign = runCampaign(options.campaignConfig);
-        std::string report = formatCampaignReport(campaign);
+        run.report = formatCampaignReport(campaign);
         if (!options.campaignOut.empty()) {
             std::ofstream file(options.campaignOut);
+            file << campaignJson(campaign);
+            file.close();
             if (!file) {
-                report += "cannot write campaign file '" +
-                          options.campaignOut + "'\n";
+                run.ok = false;
+                run.report += "cannot write campaign file '" +
+                              options.campaignOut + "'\n";
             } else {
-                file << campaignJson(campaign);
-                report += "campaign json -> " + options.campaignOut + "\n";
+                run.report +=
+                    "campaign json -> " + options.campaignOut + "\n";
             }
         }
-        return report;
+        return run;
     }
 
     if (options.simCheck)
@@ -357,17 +369,20 @@ runCli(const CliOptions &options)
     for (std::size_t i = 0; i < cells.size(); i += per_app) {
         const MatrixCell &cell = cells[i];
         if (!cell.ok()) {
+            run.ok = false;
             os << cell.spec.app << ": run failed: " << cell.error << "\n";
             continue;
         }
         os << formatRunSummary(cell.result);
         if (baseline) {
             const MatrixCell &base = cells[i + 1];
-            if (base.ok())
+            if (base.ok()) {
                 os << "  " << formatOverhead(cell.result, base.result)
                    << "\n";
-            else
+            } else {
+                run.ok = false;
                 os << "  baseline run failed: " << base.error << "\n";
+            }
         }
         if (options.dumpStats)
             os << "\ncounters:\n"
@@ -376,19 +391,21 @@ runCli(const CliOptions &options)
 
     if (!options.traceFile.empty()) {
         std::ofstream file(options.traceFile, std::ios::binary);
+        for (std::size_t i = 0; file && i < specs.size(); ++i)
+            writeTraceSection(file, *traces[i], traceLabel(specs[i]));
+        file.close();
         if (!file) {
+            run.ok = false;
             os << "cannot write trace file '" << options.traceFile
                << "'\n";
         } else {
-            for (std::size_t i = 0; i < specs.size(); ++i)
-                writeTraceSection(file, *traces[i],
-                                  traceLabel(specs[i]));
             os << "trace: " << specs.size() << " run section"
                << (specs.size() == 1 ? "" : "s") << " -> "
                << options.traceFile << "\n";
         }
     }
-    return os.str();
+    run.report = os.str();
+    return run;
 }
 
 } // namespace safemem

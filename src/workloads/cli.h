@@ -50,7 +50,16 @@ std::optional<ToolKind> toolKindFromName(const std::string &name);
 /** @return the usage text. */
 std::string cliUsage();
 
+/** What executing a command line produced. */
+struct CliRun
+{
+    std::string report; ///< the formatted report, for stdout
+    /** False when a run (an --overhead baseline included) failed or an
+     *  output file could not be written; the report says which. */
+    bool ok = true;
+};
+
 /** Execute the parsed run(s) and return the formatted report. */
-std::string runCli(const CliOptions &options);
+CliRun runCli(const CliOptions &options);
 
 } // namespace safemem

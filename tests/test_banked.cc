@@ -318,7 +318,7 @@ TEST(BankedGolden, SingleBankSweepBitIdenticalToPreBankMachine)
     CliParse parse =
         parseCliArguments({"all", "--stats", "--workers", "0"});
     ASSERT_TRUE(parse.options.has_value());
-    EXPECT_EQ(runCli(*parse.options),
+    EXPECT_EQ(runCli(*parse.options).report,
               readGolden("golden_prebank_sweep.txt"));
 }
 
@@ -330,7 +330,7 @@ TEST(BankedGolden, SingleBankConsolidatedBitIdenticalToPreBankMachine)
     CliParse parse = parseCliArguments(
         {"all", "--stats", "--procs", "3", "--buggy", "--workers", "0"});
     ASSERT_TRUE(parse.options.has_value());
-    EXPECT_EQ(runCli(*parse.options),
+    EXPECT_EQ(runCli(*parse.options).report,
               readGolden("golden_prebank_procs3.txt"));
 }
 

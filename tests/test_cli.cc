@@ -106,6 +106,61 @@ TEST(Cli, MissingValueRejected)
     EXPECT_FALSE(parse.options.has_value());
 }
 
+/** @return whether @p args is rejected with the usage text attached. */
+bool
+rejectedWithUsage(const std::vector<std::string> &args)
+{
+    CliParse parse = parseCliArguments(args);
+    return !parse.options && parse.message.find("usage:") != std::string::npos;
+}
+
+TEST(Cli, NumericFlagsRejectMalformedValues)
+{
+    // Each of these once threw out of the parser or wrapped silently.
+    EXPECT_TRUE(rejectedWithUsage({"gzip", "--requests", "abc"}));
+    EXPECT_TRUE(rejectedWithUsage(
+        {"gzip", "--requests", "99999999999999999999999"}));
+    EXPECT_TRUE(rejectedWithUsage({"gzip", "--requests", "-1"}));
+    EXPECT_TRUE(rejectedWithUsage({"campaign", "--samples", "-1"}));
+    EXPECT_TRUE(rejectedWithUsage({"gzip", "--banks", "4294967300"}));
+    EXPECT_TRUE(rejectedWithUsage({"gzip", "--procs", "4294967297"}));
+
+    // Digits only, and the whole value: no sign, space or suffix.
+    for (const char *value : {"", "+5", " 5", "5 ", "5x", "0x10", "1e3"}) {
+        EXPECT_TRUE(rejectedWithUsage({"gzip", "--requests", value}))
+            << "'" << value << "'";
+    }
+    for (const char *flag : {"--requests", "--seed", "--workers",
+                             "--procs", "--banks"})
+        EXPECT_TRUE(rejectedWithUsage({"gzip", flag, "12abc"})) << flag;
+    for (const char *flag : {"--samples", "--seed", "--workers"})
+        EXPECT_TRUE(rejectedWithUsage({"campaign", flag, "-3"})) << flag;
+    EXPECT_TRUE(rejectedWithUsage({"all", "--workers", "4294967296"}));
+    EXPECT_TRUE(rejectedWithUsage({"campaign", "--workers", "4294967296"}));
+    EXPECT_TRUE(rejectedWithUsage(
+        {"gzip", "--seed", "18446744073709551616"}));
+}
+
+TEST(Cli, NumericFlagsAcceptTheirWholeRange)
+{
+    CliParse parse = parseCliArguments(
+        {"gzip", "--seed", "18446744073709551615", "--requests", "007",
+         "--procs", "4294967295", "--workers", "0"});
+    ASSERT_TRUE(parse.options.has_value()) << parse.message;
+    EXPECT_EQ(parse.options->params.seed, ~std::uint64_t{0});
+    EXPECT_EQ(parse.options->params.requests, 7u);
+    EXPECT_EQ(parse.options->procs, 4294967295u);
+    EXPECT_EQ(parse.options->workers, 0u);
+
+    CliParse campaign = parseCliArguments(
+        {"campaign", "--samples", "18446744073709551615", "--seed", "0",
+         "--workers", "4294967295"});
+    ASSERT_TRUE(campaign.options.has_value()) << campaign.message;
+    EXPECT_EQ(campaign.options->campaignConfig.samples, ~std::uint64_t{0});
+    EXPECT_EQ(campaign.options->campaignConfig.seed, 0u);
+    EXPECT_EQ(campaign.options->campaignConfig.workers, 4294967295u);
+}
+
 TEST(Cli, TraceFlagParsed)
 {
     CliParse parse =
@@ -123,8 +178,9 @@ TEST(Cli, EndToEndTraceFileHoldsOneSectionPerRun)
     CliParse parse = parseCliArguments({"gzip", "--requests", "20",
                                         "--overhead", "--trace", path});
     ASSERT_TRUE(parse.options.has_value());
-    std::string report = runCli(*parse.options);
-    EXPECT_NE(report.find("trace: 2 run sections -> " + path),
+    CliRun run = runCli(*parse.options);
+    EXPECT_TRUE(run.ok);
+    EXPECT_NE(run.report.find("trace: 2 run sections -> " + path),
               std::string::npos);
 
     std::ifstream is(path, std::ios::binary);
@@ -163,7 +219,7 @@ TEST(Cli, EndToEndBuggyRunReportsTheBug)
     CliParse parse = parseCliArguments(
         {"tar", "--buggy", "--requests", "120"});
     ASSERT_TRUE(parse.options.has_value());
-    std::string report = runCli(*parse.options);
+    std::string report = runCli(*parse.options).report;
     EXPECT_NE(report.find("BUG DETECTED"), std::string::npos);
     EXPECT_NE(report.find("memory corruption"), std::string::npos);
 }
@@ -173,9 +229,10 @@ TEST(Cli, EndToEndCleanRun)
     CliParse parse =
         parseCliArguments({"gzip", "--requests", "20", "--overhead"});
     ASSERT_TRUE(parse.options.has_value());
-    std::string report = runCli(*parse.options);
-    EXPECT_NE(report.find("clean run"), std::string::npos);
-    EXPECT_NE(report.find("overhead"), std::string::npos);
+    CliRun run = runCli(*parse.options);
+    EXPECT_TRUE(run.ok);
+    EXPECT_NE(run.report.find("clean run"), std::string::npos);
+    EXPECT_NE(run.report.find("overhead"), std::string::npos);
 }
 
 TEST(Cli, EndToEndAllSweepCoversEveryApp)
@@ -183,11 +240,52 @@ TEST(Cli, EndToEndAllSweepCoversEveryApp)
     CliParse parse = parseCliArguments(
         {"all", "--requests", "40", "--workers", "2"});
     ASSERT_TRUE(parse.options.has_value());
-    std::string report = runCli(*parse.options);
+    std::string report = runCli(*parse.options).report;
     for (const std::string &app : appNames())
         EXPECT_NE(report.find("=== " + app + " under"),
                   std::string::npos)
             << app;
+}
+
+TEST(Cli, FailedRunIsNotOk)
+{
+    // Pure-SEC Hamming cannot host the scramble signature, so the
+    // machine refuses to boot: with --overhead the baseline fails too.
+    for (bool overhead : {false, true}) {
+        std::vector<std::string> args = {"gzip", "--requests", "20",
+                                          "--codec", "hamming64/8"};
+        if (overhead)
+            args.push_back("--overhead");
+        CliParse parse = parseCliArguments(args);
+        ASSERT_TRUE(parse.options.has_value());
+        CliRun run = runCli(*parse.options);
+        EXPECT_FALSE(run.ok) << overhead;
+        EXPECT_NE(run.report.find("gzip: run failed:"), std::string::npos)
+            << run.report;
+    }
+}
+
+TEST(Cli, UnwritableOutputFileIsNotOk)
+{
+    const std::string missing_dir =
+        ::testing::TempDir() + "safemem-no-such-dir/";
+
+    CliParse traced = parseCliArguments(
+        {"gzip", "--requests", "20", "--trace", missing_dir + "out.trace"});
+    ASSERT_TRUE(traced.options.has_value());
+    CliRun run = runCli(*traced.options);
+    EXPECT_FALSE(run.ok);
+    EXPECT_NE(run.report.find("clean run"), std::string::npos);
+    EXPECT_NE(run.report.find("cannot write trace file"), std::string::npos);
+
+    CliParse campaign = parseCliArguments(
+        {"campaign", "--samples", "50", "--codec", "hsiao", "--out",
+         missing_dir + "campaign.json"});
+    ASSERT_TRUE(campaign.options.has_value());
+    run = runCli(*campaign.options);
+    EXPECT_FALSE(run.ok);
+    EXPECT_NE(run.report.find("cannot write campaign file"),
+              std::string::npos);
 }
 
 TEST(ReportWriter, VerdictVariants)

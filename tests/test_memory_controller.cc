@@ -8,6 +8,8 @@
 #include "common/clock.h"
 #include "common/costs.h"
 #include "common/logging.h"
+#include "ecc/edc.h"
+#include "ecc/geometry.h"
 #include "ecc/hamming.h"
 #include "ecc/hsiao_param.h"
 #include "ecc/scramble.h"
@@ -267,6 +269,11 @@ TEST(PhysicalMemory, RejectsUnalignedCapacity)
     EXPECT_THROW(PhysicalMemory(0), FatalError);
 }
 
+TEST(PhysicalMemory, UnmappableCapacityIsFatal)
+{
+    EXPECT_THROW(PhysicalMemory(std::size_t{1} << 62), FatalError);
+}
+
 TEST(PhysicalMemory, WordRoundTrip)
 {
     PhysicalMemory memory(4096);
@@ -291,6 +298,36 @@ TEST(PhysicalMemory, FreshMemoryDecodesClean)
     EccDecodeResult result =
         code.decode(memory.readWord(0), memory.readCheck(0));
     EXPECT_EQ(result.status, EccDecodeStatus::Ok);
+}
+
+TEST(PhysicalMemory, ZeroFilledEdcLaneFoldsTheZeroLine)
+{
+    // The EDC lane is stored relative to the all-zero line's fold (which
+    // is nonzero for CRC-32), so untouched storage is consistent with
+    // untouched data, and the XOR is invisible through the accessors.
+    for (const char *spec : {"block:512/crc32", "block:512/parity"}) {
+        SCOPED_TRACE(spec);
+        std::optional<ProtectionGeometry> geometry = parseGeometry(spec);
+        ASSERT_TRUE(geometry.has_value());
+        PhysicalMemory memory(64 * 1024, 8, *geometry);
+        CycleClock clock;
+        MemoryController controller(memory, clock, nullptr, defaultCodec(),
+                                    1, *geometry);
+        const PhysAddr line = 5 * kCacheLineSize;
+        EXPECT_EQ(memory.readEdc(line), edcZeroLineFold(geometry->edc));
+        EXPECT_TRUE(controller.edcConsistent(line));
+
+        for (std::uint64_t fold : {std::uint64_t{0}, std::uint64_t{0xa5}}) {
+            memory.writeEdc(line, fold);
+            EXPECT_EQ(memory.readEdc(line), fold);
+        }
+        for (int bit = 0;
+             bit < static_cast<int>(edcBitsPerLine(geometry->edc)); ++bit) {
+            std::uint64_t before = memory.readEdc(line);
+            memory.flipEdcBit(line, bit);
+            EXPECT_EQ(memory.readEdc(line) ^ before, 1ULL << bit) << bit;
+        }
+    }
 }
 
 } // namespace

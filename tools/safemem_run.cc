@@ -7,6 +7,9 @@
  *   build/tools/safemem_run gzip --tool purify --overhead
  *   build/tools/safemem_run ypserv1 --buggy --stats=leak
  *   build/tools/safemem_run all --overhead --workers 0   # parallel sweep
+ *
+ * Exits 1 on a bad command line, a failed run (an --overhead baseline
+ * included), or an output file that could not be written.
  */
 
 #include <cstdio>
@@ -26,7 +29,7 @@ main(int argc, char **argv)
         std::fprintf(stderr, "%s", parse.message.c_str());
         return 1;
     }
-    std::string report = safemem::runCli(*parse.options);
-    std::fputs(report.c_str(), stdout);
-    return 0;
+    safemem::CliRun run = safemem::runCli(*parse.options);
+    std::fputs(run.report.c_str(), stdout);
+    return run.ok ? 0 : 1;
 }
