@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "ecc/hamming.h"
+#include "ecc/codec.h"
 #include "mem/memory_controller.h"
 #include "mem/physical_memory.h"
 

@@ -9,7 +9,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "ecc/hamming.h"
+#include "ecc/codec.h"
 #include "ecc/scramble.h"
 #include "os/machine.h"
 
@@ -31,7 +31,7 @@ main()
     setLogQuiet(true);
     Machine machine;
     Kernel &kernel = machine.kernel();
-    const ScramblePattern &pattern = defaultScramblePattern();
+    const ScramblePattern &pattern = kernel.scramblePattern();
 
     std::printf("Figure 2: implementation of WatchMemory\n\n");
     std::printf("scramble signature: flip data bits %d, %d, %d "

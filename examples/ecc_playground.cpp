@@ -11,7 +11,7 @@
 #include <cstdio>
 
 #include "common/logging.h"
-#include "ecc/hamming.h"
+#include "ecc/codec.h"
 #include "ecc/scramble.h"
 #include "os/machine.h"
 
@@ -39,7 +39,7 @@ main()
                 r.status == EccDecodeStatus::Uncorrectable
                     ? "uncorrectable (detected)" : "?");
 
-    const ScramblePattern &pattern = defaultScramblePattern();
+    const ScramblePattern pattern = *findScramblePositions(code);
     r = code.decode(pattern.apply(word), check);
     std::printf("scramble (+bits %d,%d,%d): %s\n", pattern.bits[0],
                 pattern.bits[1], pattern.bits[2],

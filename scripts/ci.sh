@@ -9,9 +9,11 @@
 #                           the data-race gate for the parallel harness
 #   5. bench smoke        — bench_hotpath --json and bench_matrix --json;
 #                           fail on malformed JSON or missing keys
-#   5b. campaign smoke    — bench_ecc_campaign over the codec zoo: JSON
-#                           shape, scramble verdicts, and worker-count
-#                           independence (byte-identical files)
+#   5b. campaign smoke    — safemem_run campaign over the codec zoo:
+#                           JSON shape, scramble verdicts, worker-count
+#                           independence (byte-identical files), and the
+#                           committed BENCH_ecc_campaign.json reproduced
+#                           byte for byte
 #   5c. perfbench smoke   — build perfbench/ (its own CMake package over
 #                           src/) into build-perfbench/ and run one short
 #                           pass per workload, the machine workloads
@@ -127,15 +129,27 @@ campaign_smoke() {
     # JSON document must carry the expected shape and verdicts (the
     # Hsiao codes host a scramble signature, pure-SEC Hamming must
     # not), and the sweep must be byte-identical for any worker count.
+    # At the committed settings the document must equal
+    # BENCH_ecc_campaign.json, so a codec change that moves any
+    # campaign count fails here instead of drifting silently.
     local one=build/bench/BENCH_campaign_smoke_w1.json
     local four=build/bench/BENCH_campaign_smoke_w4.json
-    build/bench/bench_ecc_campaign --samples 400 --seed 11 --workers 1 \
+    local committed=build/bench/BENCH_campaign_committed.json
+    build/tools/safemem_run campaign --samples 400 --seed 11 --workers 1 \
         --out "$one" >/dev/null &&
-        build/bench/bench_ecc_campaign --samples 400 --seed 11 \
+        build/tools/safemem_run campaign --samples 400 --seed 11 \
             --workers 4 --out "$four" >/dev/null &&
         if ! cmp -s "$one" "$four"; then
             echo "campaign smoke: worker count changed the results:"
             diff "$one" "$four" | head -20
+            return 1
+        fi &&
+        build/tools/safemem_run campaign --samples 20000 --seed 42 \
+            --workers 0 --out "$committed" >/dev/null &&
+        if ! cmp -s "$committed" BENCH_ecc_campaign.json; then
+            echo "campaign smoke: the campaign no longer reproduces" \
+                 "BENCH_ecc_campaign.json:"
+            diff "$committed" BENCH_ecc_campaign.json | head -20
             return 1
         fi &&
         python3 - "$one" <<'PYEOF'

@@ -51,8 +51,8 @@ struct EccDecodeResult
      * for data bits, [dataBits, dataBits + checkBits) for check bits.
      * -1 otherwise — including the pure-SEC Hamming decoder's phantom
      * "corrections" of codeword positions that do not exist in the
-     * shortened code (see HammingSecCode). Consumers must not assume
-     * the value indexes a data word.
+     * shortened code (see EccCodecKind::Hamming64_8). Consumers must
+     * not assume the value indexes a data word.
      */
     int correctedBit = -1;
 };
@@ -93,12 +93,16 @@ class EccCodec
     virtual std::uint64_t column(int bit) const = 0;
 };
 
-/** The codec implementations selectable per run. */
+/**
+ * The code families selectable per run. Both run on one linear-code
+ * engine and differ only in their columns and in what a non-zero
+ * syndrome that names no codeword bit decodes to.
+ */
 enum class EccCodecKind : std::uint8_t
 {
-    Hsiao72_64, ///< the paper's (72,64) Hsiao SEC-DED code
-    Hamming64_8, ///< classic Hamming SEC, no detect-only outcome
-    HsiaoParam  ///< parameterized Hsiao d/k with auto-sized k
+    Hsiao,       ///< SEC-DED over d data bits, k auto-sized when 0; the
+                 ///< 64-bit auto-sized code is the paper's (72,64) one
+    Hamming64_8, ///< classic Hamming pure SEC: never Uncorrectable
 };
 
 /**
@@ -108,17 +112,17 @@ enum class EccCodecKind : std::uint8_t
  */
 struct EccCodecSpec
 {
-    EccCodecKind kind = EccCodecKind::Hsiao72_64;
-    /** Data bits d (HsiaoParam only; fixed 64 for the others). */
+    EccCodecKind kind = EccCodecKind::Hsiao;
+    /** Data bits d (Hsiao only; Hamming64_8 is fixed at 64). */
     int dataBits = 64;
-    /** Check bits k, 0 = auto-size (HsiaoParam only). */
+    /** Check bits k, 0 = auto-size (Hsiao only; Hamming64_8 has 8). */
     int checkBits = 0;
 
     bool operator==(const EccCodecSpec &) const = default;
 };
 
 /** @return a freshly built codec implementing @p spec (panics on a
- *  malformed spec, e.g. HsiaoParam dimensions no code satisfies). */
+ *  spec no code satisfies; parseCodecSpec() never returns one). */
 std::unique_ptr<EccCodec> makeCodec(const EccCodecSpec &spec);
 
 /** @return the shared immutable (72,64) Hsiao codec every machine uses
@@ -128,7 +132,8 @@ const EccCodec &defaultCodec();
 /**
  * Parse a codec name as accepted by the CLI: "hsiao" (the default
  * (72,64) code), "hamming64/8", or "hsiao:<d>" / "hsiao:<d>/<k>" for
- * the parameterized construction. @return nullopt on anything else.
+ * any other Hsiao code ("hsiao:64" is the default). @return nullopt on
+ * anything else, including dimensions no Hsiao code fills.
  */
 std::optional<EccCodecSpec> parseCodecSpec(const std::string &name);
 

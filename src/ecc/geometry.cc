@@ -1,5 +1,7 @@
 #include "ecc/geometry.h"
 
+#include "ecc/parse_number.h"
+
 namespace safemem {
 
 std::optional<ProtectionGeometry>
@@ -26,18 +28,11 @@ parseGeometry(const std::string &text)
             return std::nullopt;
     }
 
-    if (body.empty() ||
-        body.find_first_not_of("0123456789") != std::string::npos)
+    std::optional<std::uint32_t> bytes =
+        parseWholeNumber<std::uint32_t>(body);
+    if (!bytes || !validCodewordBytes(*bytes))
         return std::nullopt;
-    unsigned long bytes = 0;
-    try {
-        bytes = std::stoul(body);
-    } catch (...) {
-        return std::nullopt;
-    }
-    if (!validCodewordBytes(static_cast<std::uint32_t>(bytes)))
-        return std::nullopt;
-    geometry.codewordBytes = static_cast<std::uint32_t>(bytes);
+    geometry.codewordBytes = *bytes;
     return geometry;
 }
 

@@ -38,15 +38,4 @@ findScramblePositions(const EccCodec &code)
     return std::nullopt;
 }
 
-const ScramblePattern &
-defaultScramblePattern()
-{
-    // The default codec is SEC-DED, so a triple always exists (its
-    // odd-weight columns XOR to an odd-weight non-column value for some
-    // triple); the kernel re-validates at boot for configured codecs.
-    static const ScramblePattern pattern =
-        *findScramblePositions(defaultCodec());
-    return pattern;
-}
-
 } // namespace safemem

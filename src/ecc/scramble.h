@@ -15,9 +15,10 @@
  * Whether such a triple exists at all depends on the codec. For linear
  * codes property 1 holds exactly when the XOR of the three H-matrix
  * columns is a syndrome the decoder refuses to correct; a pure-SEC code
- * (ecc/hamming_sec.h) corrects *every* syndrome, so no triple works and
- * findScramblePositions() reports failure instead of a pattern. Unit
- * tests re-verify the guarantee against the real decoders.
+ * (EccCodecKind::Hamming64_8) corrects *every* syndrome, so no triple
+ * works and findScramblePositions() reports failure instead of a
+ * pattern. Unit tests re-verify the guarantee against the real
+ * decoders.
  */
 
 #pragma once
@@ -62,8 +63,5 @@ struct ScramblePattern
  *         reports it as the codec's scramble-viability verdict instead.
  */
 std::optional<ScramblePattern> findScramblePositions(const EccCodec &code);
-
-/** @return the process-wide scramble pattern for defaultCodec(). */
-const ScramblePattern &defaultScramblePattern();
 
 } // namespace safemem

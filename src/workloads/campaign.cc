@@ -159,9 +159,9 @@ std::vector<EccCodecSpec>
 defaultZoo()
 {
     return {
-        {EccCodecKind::Hsiao72_64, 64, 0},
+        {EccCodecKind::Hsiao, 64, 0},
         {EccCodecKind::Hamming64_8, 64, 0},
-        {EccCodecKind::HsiaoParam, 64, 8},
+        {EccCodecKind::Hsiao, 64, 8},
     };
 }
 

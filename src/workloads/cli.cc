@@ -1,11 +1,11 @@
 #include "workloads/cli.h"
 
-#include <charconv>
 #include <fstream>
 #include <memory>
 #include <sstream>
 
 #include "check/simcheck.h"
+#include "ecc/parse_number.h"
 #include "mem/bank.h"
 #include "trace/trace.h"
 #include "workloads/report_writer.h"
@@ -115,10 +115,10 @@ parseCliArguments(const std::vector<std::string> &args)
         const std::string *value = need_value(flag);
         if (!value)
             return false;
-        const char *end = value->data() + value->size();
-        auto [stop, error] = std::from_chars(value->data(), end, out);
-        if (error == std::errc{} && stop == end)
+        if (std::optional<T> parsed = parseWholeNumber<T>(*value)) {
+            out = *parsed;
             return true;
+        }
         result.message = flag + " needs a whole number in range, not '" +
                          *value + "'\n\n" + cliUsage();
         return false;

@@ -46,7 +46,7 @@ TEST(Campaign, SweepShapeAndExhaustiveTrialCounts)
     EXPECT_EQ(result.codecs[0].name, "hsiao-72-64");
     EXPECT_EQ(result.codecs[1].name, "hamming-64-8");
     EXPECT_EQ(result.codecs[2].name, "hsiao-72-64");
-    EXPECT_EQ(result.codecs[2].spec.kind, EccCodecKind::HsiaoParam);
+    EXPECT_EQ(result.codecs[2].spec.kind, EccCodecKind::Hsiao);
 
     for (const CodecCampaign &codec : result.codecs) {
         // none + random 1..4 + burst 1..4.
@@ -122,7 +122,7 @@ TEST(Campaign, SecDedDetectsEveryDoubleWhereHammingMiscorrects)
 TEST(Campaign, JsonDocumentCarriesTheReportShape)
 {
     CampaignConfig config = smallConfig();
-    config.codecs = {{EccCodecKind::Hsiao72_64, 64, 0},
+    config.codecs = {{EccCodecKind::Hsiao, 64, 0},
                      {EccCodecKind::Hamming64_8, 64, 0}};
     std::string json = campaignJson(runCampaign(config));
 
@@ -176,7 +176,7 @@ TEST(Campaign, CliParsesCampaignMode)
     EXPECT_EQ(options.campaignConfig.codecs[0].kind,
               EccCodecKind::Hamming64_8);
     EXPECT_EQ(options.campaignConfig.codecs[1].kind,
-              EccCodecKind::HsiaoParam);
+              EccCodecKind::Hsiao);
     EXPECT_EQ(options.campaignConfig.codecs[1].dataBits, 16);
     EXPECT_EQ(options.campaignConfig.samples, 100u);
     EXPECT_EQ(options.campaignConfig.seed, 9u);
@@ -194,7 +194,7 @@ TEST(Campaign, CliParsesRunCodecFlag)
     CliParse parse =
         parseCliArguments({"gzip", "--codec", "hsiao:64/8"});
     ASSERT_TRUE(parse.options.has_value());
-    EXPECT_EQ(parse.options->params.codec.kind, EccCodecKind::HsiaoParam);
+    EXPECT_EQ(parse.options->params.codec.kind, EccCodecKind::Hsiao);
     EXPECT_FALSE(parse.options->campaign);
 
     EXPECT_FALSE(parseCliArguments({"gzip", "--codec", "bogus"}).options);

@@ -7,6 +7,8 @@
 
 #include <cstdio>
 #include <fstream>
+#include <string>
+#include <vector>
 
 #include "trace/trace.h"
 #include "workloads/cli.h"
@@ -139,6 +141,29 @@ TEST(Cli, NumericFlagsRejectMalformedValues)
     EXPECT_TRUE(rejectedWithUsage({"campaign", "--workers", "4294967296"}));
     EXPECT_TRUE(rejectedWithUsage(
         {"gzip", "--seed", "18446744073709551616"}));
+}
+
+TEST(Cli, MalformedCodecAndGeometrySpecsRejectedWithoutThrowing)
+{
+    // Each once ran as a different spec (a suffix or a space skipped, a
+    // codeword size wrapped to 4096) or, for a Hsiao code no column set
+    // fills, panicked out of the campaign.
+    const std::vector<std::vector<std::string>> cases = {
+        {"campaign", "--codec", "hsiao:64/4"},
+        {"campaign", "--codec", "hsiao:32abc"},
+        {"campaign", "--codec", "hsiao: 16"},
+        {"gzip", "--codec", "hsiao:64/4"},
+        {"gzip", "--geometry", "block:4294971392"},
+    };
+    for (const std::vector<std::string> &args : cases) {
+        CliParse parse;
+        EXPECT_NO_THROW(parse = parseCliArguments(args)) << args.back();
+        EXPECT_FALSE(parse.options.has_value()) << args.back();
+        EXPECT_NE(parse.message.find("unknown "), std::string::npos)
+            << args.back();
+        EXPECT_NE(parse.message.find("usage:"), std::string::npos)
+            << args.back();
+    }
 }
 
 TEST(Cli, NumericFlagsAcceptTheirWholeRange)

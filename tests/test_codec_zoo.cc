@@ -1,77 +1,52 @@
 /**
  * @file
- * Tests of the codec-zoo plumbing: the parameterized Hsiao construction
- * reproducing the paper's fixed code, auto-sizing of check bits, spec
- * parsing/naming round-trips, and geometry validation panics.
+ * Tests of the codec-zoo plumbing: auto-sizing of check bits, spec
+ * parsing/naming round-trips, dimension validation, and the pure-SEC
+ * decode policy. test_codec_oracle.cc checks the engine itself against
+ * a naive reference model.
  */
 
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
 #include "common/random.h"
-#include "ecc/hamming.h"
-#include "ecc/hamming_sec.h"
-#include "ecc/hsiao_param.h"
+#include "ecc/codec.h"
 
 namespace safemem {
 namespace {
 
-TEST(CodecZoo, ParamHsiaoReproducesThePaperCode)
-{
-    // The (64, auto) construction must be the fixed (72,64) code column
-    // for column — same H matrix, same encoder, same decoder verdicts.
-    const HsiaoCode fixed;
-    const HsiaoParamCode param(64);
-    EXPECT_EQ(param.dataBits(), 64);
-    EXPECT_EQ(param.checkBits(), 8);
-    for (int bit = 0; bit < 64; ++bit)
-        EXPECT_EQ(param.column(bit), fixed.column(bit)) << bit;
-
-    Rng rng(21);
-    for (int trial = 0; trial < 200; ++trial) {
-        std::uint64_t data = rng.next();
-        EXPECT_EQ(param.encode(data), fixed.encode(data));
-        // Same verdict on a corrupted word too.
-        std::uint64_t bad = data ^ (1ULL << rng.range(0, 63));
-        std::uint64_t check = fixed.encode(data);
-        EccDecodeResult a = param.decode(bad, check);
-        EccDecodeResult b = fixed.decode(bad, check);
-        EXPECT_EQ(a.status, b.status);
-        EXPECT_EQ(a.data, b.data);
-        EXPECT_EQ(a.correctedBit, b.correctedBit);
-    }
-}
-
 TEST(CodecZoo, AutoCheckBitsMatchesTheCombinatorics)
 {
-    // Smallest k with enough odd-weight >= 3 columns: C(6, 3+5) = 26
-    // covers 16, C(7, odd >= 3) = 63 covers 32, C(8, odd >= 3) = 92
-    // covers 64.
-    EXPECT_EQ(HsiaoParamCode::autoCheckBits(64), 8);
-    EXPECT_EQ(HsiaoParamCode::autoCheckBits(32), 7);
-    EXPECT_EQ(HsiaoParamCode::autoCheckBits(16), 6);
-    EXPECT_EQ(HsiaoParamCode::autoCheckBits(1), 3);
+    // Smallest k with enough odd-weight >= 3 columns: C(6, 3) + C(6, 5)
+    // = 26 covers 16, C(7, 3) + C(7, 5) + C(7, 7) = 57 covers 32,
+    // C(8, 3) + C(8, 5) + C(8, 7) = 120 covers 64, and C(3, 3) = 1
+    // covers 1.
+    for (auto [data_bits, check_bits] :
+         {std::pair{64, 8}, {32, 7}, {16, 6}, {1, 3}}) {
+        auto code = makeCodec({EccCodecKind::Hsiao, data_bits, 0});
+        EXPECT_EQ(code->checkBits(), check_bits) << data_bits;
+    }
 }
 
 TEST(CodecZoo, BadGeometryPanics)
 {
     // 64 data columns cannot fit in 4 check bits (only C(4,3) = 4
     // odd-weight >= 3 values exist below 2^4).
-    EXPECT_THROW(HsiaoParamCode(64, 4), PanicError);
-    EXPECT_THROW(HsiaoParamCode(0, 8), PanicError);
-    EXPECT_THROW(HsiaoParamCode(65, 0), PanicError);
-    EXPECT_THROW(makeCodec({EccCodecKind::HsiaoParam, 64, 4}), PanicError);
+    EXPECT_THROW(makeCodec({EccCodecKind::Hsiao, 64, 4}), PanicError);
+    EXPECT_THROW(makeCodec({EccCodecKind::Hsiao, 0, 8}), PanicError);
+    EXPECT_THROW(makeCodec({EccCodecKind::Hsiao, 65, 0}), PanicError);
+    EXPECT_THROW(makeCodec({EccCodecKind::Hsiao, 64, 65}), PanicError);
 }
 
 TEST(CodecZoo, MakeCodecBuildsEveryKind)
 {
-    auto hsiao = makeCodec({EccCodecKind::Hsiao72_64, 64, 0});
+    auto hsiao = makeCodec({EccCodecKind::Hsiao, 64, 0});
     auto hamming = makeCodec({EccCodecKind::Hamming64_8, 64, 0});
-    auto param = makeCodec({EccCodecKind::HsiaoParam, 16, 0});
+    auto narrow = makeCodec({EccCodecKind::Hsiao, 16, 0});
     EXPECT_STREQ(hsiao->name(), "hsiao-72-64");
     EXPECT_STREQ(hamming->name(), "hamming-64-8");
-    EXPECT_STREQ(param->name(), "hsiao-22-16");
-    EXPECT_EQ(param->checkBits(), 6);
+    EXPECT_STREQ(narrow->name(), "hsiao-22-16");
+    EXPECT_EQ(narrow->checkBits(), 6);
 }
 
 TEST(CodecZoo, SpecParsingRoundTrips)
@@ -83,12 +58,18 @@ TEST(CodecZoo, SpecParsingRoundTrips)
         EXPECT_EQ(codecSpecName(*spec), name);
     }
 
-    // Aliases normalize to the canonical name.
+    // Aliases normalize to the canonical name; hsiao:64 is the default.
     EXPECT_EQ(codecSpecName(*parseCodecSpec("hamming")), "hamming64/8");
     EXPECT_EQ(codecSpecName(*parseCodecSpec("hsiao-72-64")), "hsiao");
+    EXPECT_TRUE(parseCodecSpec("hsiao:64") == EccCodecSpec{});
 
-    for (const char *bad : {"", "crc32", "hsiao:", "hsiao:x", "hsiao:65",
-                            "hsiao:64/65", "hsiao:-1", "hamming64"})
+    for (const char *bad :
+         {"", "crc32", "hsiao:", "hsiao:x", "hsiao:65", "hsiao:64/65",
+          "hsiao:-1", "hamming64", "hsiao:32abc", "hsiao: 16",
+          "hsiao:16 ", "hsiao:+16", "hsiao:0x10", "hsiao:64/",
+          "hsiao:/8", "hsiao:64/8/1", "hsiao:64/-0", "hsiao:4294967360",
+          // Dimensions no Hsiao code fills: too few check bits, no data.
+          "hsiao:64/4", "hsiao:64/2", "hsiao:2/1", "hsiao:0"})
         EXPECT_FALSE(parseCodecSpec(bad).has_value()) << bad;
 }
 
@@ -108,7 +89,8 @@ TEST(CodecZoo, HammingDecoderNeverReportsUncorrectable)
 {
     // The property the scramble result rests on: no syndrome at all
     // decodes Uncorrectable, so no bit pattern can host a signature.
-    const HammingSecCode code;
+    const auto hamming = makeCodec({EccCodecKind::Hamming64_8, 64, 0});
+    const EccCodec &code = *hamming;
     const std::uint64_t data = 0x123456789abcdef0ULL;
     const std::uint64_t check = code.encode(data);
     for (unsigned syndrome = 0; syndrome < 256; ++syndrome) {
@@ -123,7 +105,8 @@ TEST(CodecZoo, HammingPhantomCorrectionKeepsDataAndFlagsNoBit)
     // A syndrome naming a shortened-away position must come back as a
     // "correction" that touches nothing: data unchanged, correctedBit
     // -1 (see the EccDecodeResult contract).
-    const HammingSecCode code;
+    const auto hamming = makeCodec({EccCodecKind::Hamming64_8, 64, 0});
+    const EccCodec &code = *hamming;
     const std::uint64_t data = 0x5a5a5a5a5a5a5a5aULL;
     const std::uint64_t check = code.encode(data);
 

@@ -62,7 +62,10 @@ TEST(GeometryTest, ParseRejectsInvalidSpecs)
     for (const char *spec :
          {"", "words", "block", "block:", "block:0", "block:256",
           "block:8192", "block:1000", "block:512/", "block:512/md5",
-          "block:512 ", "Word"}) {
+          "block:512 ", "Word",
+          // Out of uint32_t range: 4096 + 2^32 once wrapped to 4096.
+          "block:4294971392", "block: 512", "block:+512", "block:-512",
+          "block:512abc", "block:0x200", "block:/parity"}) {
         EXPECT_FALSE(parseGeometry(spec).has_value()) << spec;
     }
 }

@@ -166,9 +166,9 @@ TEST_P(CodecExhaustive, DoubleBitFlipBehaviourMatchesCodeClass)
 INSTANTIATE_TEST_SUITE_P(
     Zoo, CodecExhaustive,
     ::testing::Values(
-        ZooEntry{{EccCodecKind::Hsiao72_64, 64, 0}, true},
-        ZooEntry{{EccCodecKind::HsiaoParam, 64, 8}, true},
-        ZooEntry{{EccCodecKind::HsiaoParam, 32, 0}, true},
+        ZooEntry{{EccCodecKind::Hsiao, 64, 0}, true},
+        ZooEntry{{EccCodecKind::Hsiao, 64, 8}, true},
+        ZooEntry{{EccCodecKind::Hsiao, 32, 0}, true},
         ZooEntry{{EccCodecKind::Hamming64_8, 64, 0}, false}),
     [](const ::testing::TestParamInfo<ZooEntry> &info) {
         std::string name = codecSpecName(info.param.spec);

@@ -96,7 +96,7 @@ TEST_F(KernelTest, WatchMemoryScramblesAndPins)
     PhysAddr frame = kernel.translate(base + kPageSize - 1) -
                      (kPageSize - 1);
     EXPECT_EQ(machine.controller().peekWord(frame),
-              defaultScramblePattern().apply(0x1234ULL));
+              kernel.scramblePattern().apply(0x1234ULL));
     EXPECT_FALSE(machine.kernel().swapOutPage(base)) << "page pinned";
 
     kernel.disableWatchMemory(base, kCacheLineSize);

@@ -8,10 +8,9 @@
 #include "common/clock.h"
 #include "common/costs.h"
 #include "common/logging.h"
+#include "ecc/codec.h"
 #include "ecc/edc.h"
 #include "ecc/geometry.h"
-#include "ecc/hamming.h"
-#include "ecc/hsiao_param.h"
 #include "ecc/scramble.h"
 #include "mem/memory_controller.h"
 #include "mem/physical_memory.h"
@@ -118,14 +117,14 @@ TEST_F(ControllerTest, CustomCodecDrivesTheDatapath)
 {
     // A controller built over a non-default codec encodes and decodes
     // with it: the check bytes in storage follow the configured code.
-    HsiaoParamCode code(64, 8);
-    MemoryController custom(memory, clock, nullptr, code);
+    auto code = makeCodec({EccCodecKind::Hsiao, 64, 8});
+    MemoryController custom(memory, clock, nullptr, *code);
     LineData line{};
     setLineWord(line, 0, 0xfeedULL);
     custom.evictLine(128, line);
     EXPECT_EQ(memory.readCheck(128),
-              static_cast<std::uint8_t>(code.encode(0xfeedULL)));
-    EXPECT_EQ(&custom.code(), &code);
+              static_cast<std::uint8_t>(code->encode(0xfeedULL)));
+    EXPECT_EQ(&custom.code(), code.get());
 }
 
 TEST_F(ControllerTest, CodecGeometryIsValidatedAtConstruction)
@@ -133,12 +132,12 @@ TEST_F(ControllerTest, CodecGeometryIsValidatedAtConstruction)
     // The machine datapath stores one check byte per ECC group: a codec
     // needing more check bits than the DIMM provides (or a non-64-bit
     // data word) must be rejected up front, not corrupt silently.
-    HsiaoParamCode narrow(16);
-    EXPECT_THROW(MemoryController(memory, clock, nullptr, narrow),
+    auto narrow = makeCodec({EccCodecKind::Hsiao, 16, 0});
+    EXPECT_THROW(MemoryController(memory, clock, nullptr, *narrow),
                  PanicError);
     PhysicalMemory small_checks(4096, 4);
-    HsiaoParamCode full(64, 8);
-    EXPECT_THROW(MemoryController(small_checks, clock, nullptr, full),
+    auto full = makeCodec({EccCodecKind::Hsiao, 64, 8});
+    EXPECT_THROW(MemoryController(small_checks, clock, nullptr, *full),
                  PanicError);
 }
 

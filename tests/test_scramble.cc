@@ -6,16 +6,21 @@
 #include <gtest/gtest.h>
 
 #include "common/random.h"
-#include "ecc/hamming_sec.h"
-#include "ecc/hsiao_param.h"
 #include "ecc/scramble.h"
 
 namespace safemem {
 namespace {
 
+/** The signature every default-codec machine boots with. */
+ScramblePattern
+defaultPattern()
+{
+    return *findScramblePositions(defaultCodec());
+}
+
 TEST(Scramble, PatternHasThreeDistinctBits)
 {
-    const ScramblePattern &p = defaultScramblePattern();
+    const ScramblePattern p = defaultPattern();
     EXPECT_NE(p.bits[0], p.bits[1]);
     EXPECT_NE(p.bits[1], p.bits[2]);
     EXPECT_NE(p.bits[0], p.bits[2]);
@@ -24,7 +29,7 @@ TEST(Scramble, PatternHasThreeDistinctBits)
 
 TEST(Scramble, ApplyIsAnInvolution)
 {
-    const ScramblePattern &p = defaultScramblePattern();
+    const ScramblePattern p = defaultPattern();
     Rng rng(3);
     for (int i = 0; i < 100; ++i) {
         std::uint64_t v = rng.next();
@@ -38,7 +43,7 @@ TEST(Scramble, ScrambledWordIsUncorrectable)
     // must decode as an uncorrectable multi-bit fault, never as a
     // silently "corrected" single-bit error (paper §2.2.2, property 1).
     const EccCodec &code = defaultCodec();
-    const ScramblePattern &p = defaultScramblePattern();
+    const ScramblePattern p = defaultPattern();
     Rng rng(17);
     for (int i = 0; i < 1000; ++i) {
         std::uint64_t data = rng.next();
@@ -85,7 +90,8 @@ TEST(Scramble, ParamHsiaoCodesHostSignaturesToo)
     // Any odd-weight-column Hsiao geometry keeps property 1: three odd
     // columns XOR to an odd-weight syndrome no column matches.
     for (int data_bits : {16, 32, 64}) {
-        HsiaoParamCode code(data_bits);
+        auto built = makeCodec({EccCodecKind::Hsiao, data_bits, 0});
+        const EccCodec &code = *built;
         std::optional<ScramblePattern> p = findScramblePositions(code);
         ASSERT_TRUE(p.has_value()) << "d=" << data_bits;
         std::uint64_t data =
@@ -103,8 +109,8 @@ TEST(Scramble, PureSecHammingCannotHostASignature)
     // corrects every non-zero syndrome, so no bit triple is guaranteed
     // uncorrectable and the search must report failure rather than a
     // pattern that would silently corrupt watched data.
-    HammingSecCode code;
-    EXPECT_FALSE(findScramblePositions(code).has_value());
+    auto code = makeCodec({EccCodecKind::Hamming64_8, 64, 0});
+    EXPECT_FALSE(findScramblePositions(*code).has_value());
 }
 
 TEST(Scramble, NotEveryTripleWouldWork)
