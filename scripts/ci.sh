@@ -17,7 +17,9 @@
 #   5c. perfbench smoke   — build perfbench/ (its own CMake package over
 #                           src/) into build-perfbench/ and run one short
 #                           pass per workload, the machine workloads
-#                           traced so their equivalence gate runs
+#                           traced so their equivalence gate runs, and
+#                           their seed-42 `simulated:` lines equal to
+#                           tests/data/perfbench_simulated_seed42.txt
 #   6. trace smoke        — a traced safemem_run workload decoded with
 #                           trace_dump (records + --summary); fail on
 #                           malformed JSON-lines
@@ -195,13 +197,30 @@ perfbench_smoke() {
     # perfbench/ compiles ../src as a separate package that no stage
     # above builds, so a src/ change could break the benchmark or its
     # traced equivalence gate unseen. run.py exits non-zero when the
-    # build or any of the benchmark's own checks fails.
+    # build or any of the benchmark's own checks fails. Each machine
+    # workload's `simulated:` line at seed 42 must also equal its line
+    # in tests/data/perfbench_simulated_seed42.txt, so a change that
+    # moves any simulated column fails here until the golden is
+    # deliberately refreshed.
     local status=0
+    local golden=tests/data/perfbench_simulated_seed42.txt
     CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py \
         --workload ecc_campaign --seconds 1 --trace 0 || status=1
     for workload in paper_sweep production; do
+        local out=build/perfbench_smoke_$workload.txt
         CARGO_TARGET_DIR=build-perfbench python3 perfbench/run.py \
-            --workload "$workload" --seconds 1 --trace 1 || status=1
+            --workload "$workload" --seed 42 --seconds 1 --trace 1 \
+            >"$out" || status=1
+        cat "$out"
+        local want got
+        want=$(grep "^$workload simulated:" "$golden" | cut -d' ' -f2-)
+        got=$(grep '^simulated:' "$out")
+        if [ -z "$want" ] || [ "$got" != "$want" ]; then
+            echo "perfbench smoke: $workload's simulated outcome moved"
+            echo "  committed: $want"
+            echo "  measured:  $got"
+            status=1
+        fi
     done
     return "$status"
 }

@@ -51,6 +51,8 @@ class LinearCode final : public EccCodec
     EccDecodeResult decode(std::uint64_t data,
                            std::uint64_t check) const override;
     std::uint64_t column(int bit) const override { return columns_[bit]; }
+    bool allClean(const std::uint64_t *data, const std::uint8_t *check,
+                  std::size_t n) const override;
 
   private:
     /** 256 slots for at most 64 columns: a probe run stays short and
@@ -155,6 +157,18 @@ LinearCode::decode(std::uint64_t data, std::uint64_t check) const
     return result;
 }
 
+bool
+LinearCode::allClean(const std::uint64_t *data, const std::uint8_t *check,
+                     std::size_t n) const
+{
+    // Clean means every syndrome is zero, so one OR over the words
+    // answers with a single branch.
+    std::uint64_t syndromes = 0;
+    for (std::size_t i = 0; i < n; ++i)
+        syndromes |= encode(data[i]) ^ check[i];
+    return (syndromes & syndromeMask_) == 0;
+}
+
 /** @return the next k-bit value with the same popcount as @p v
  *  (Gosper's hack), or 0 when @p v was the largest such value. */
 std::uint64_t
@@ -231,6 +245,17 @@ shapeOf(const EccCodecSpec &spec)
 }
 
 } // namespace
+
+bool
+EccCodec::allClean(const std::uint64_t *data, const std::uint8_t *check,
+                   std::size_t n) const
+{
+    for (std::size_t i = 0; i < n; ++i) {
+        if (decode(data[i], check[i]).status != EccDecodeStatus::Ok)
+            return false;
+    }
+    return true;
+}
 
 std::unique_ptr<EccCodec>
 makeCodec(const EccCodecSpec &spec)

@@ -18,6 +18,7 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -91,6 +92,15 @@ class EccCodec
 
     /** @return the H-matrix column (k-bit syndrome) of data bit @p bit. */
     virtual std::uint64_t column(int bit) const = 0;
+
+    /**
+     * @return true when each of the @p n words @p data[i] decodes Ok
+     * against its stored check byte @p check[i] — the controller's
+     * one-branch test for a clean line fill. The default asks decode()
+     * word by word and stops at the first word that is not clean.
+     */
+    virtual bool allClean(const std::uint64_t *data,
+                          const std::uint8_t *check, std::size_t n) const;
 };
 
 /**

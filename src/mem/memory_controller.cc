@@ -387,14 +387,26 @@ MemoryController::fillLine(PhysAddr line_addr, LineData &out)
 
     bool ok = true;
     if (geometry_.isWord() || mode_ == EccMode::Disabled) {
-        // Per-word SEC-DED: decode every group of the demanded line.
-        // (With ECC Disabled the block fast path has nothing to check
-        // either, so both geometries degenerate to this raw read.)
-        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
-            std::uint64_t word;
-            if (!decodeWord(line_addr + i * kEccGroupSize, false, word))
-                ok = false;
-            setLineWord(out, i, word);
+        // Per-word SEC-DED over every group of the demanded line. (With
+        // ECC Disabled the block fast path has nothing to check either,
+        // so both geometries degenerate to this raw read.) A line read
+        // raw or clean as a whole is the fill; any other line decodes
+        // word by word, so corrections, CheckOnly reports and
+        // interrupts keep their order.
+        std::uint64_t words[kEccGroupsPerLine];
+        std::uint8_t checks[kEccGroupsPerLine];
+        memory_.readLine(line_addr, words, checks);
+        if (mode_ == EccMode::Disabled ||
+            code_.allClean(words, checks, kEccGroupsPerLine)) {
+            for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
+                setLineWord(out, i, words[i]);
+        } else {
+            for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+                std::uint64_t word;
+                if (!decodeWord(line_addr + i * kEccGroupSize, false, word))
+                    ok = false;
+                setLineWord(out, i, word);
+            }
         }
     } else {
         // Block geometry: verify the line's EDC fold that rode in with

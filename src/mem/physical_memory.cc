@@ -92,6 +92,21 @@ PhysicalMemory::readCheck(PhysAddr addr) const
 }
 
 void
+PhysicalMemory::readLine(PhysAddr line_addr, std::uint64_t *words,
+                         std::uint8_t *checks) const
+{
+    if (!isAligned(line_addr, kCacheLineSize))
+        panic("PhysicalMemory: unaligned line address ", line_addr);
+    // The capacity is whole lines, so the first word's bounds check
+    // covers the line.
+    std::size_t first = wordIndex(line_addr);
+    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+        words[i] = words_[first + i];
+        checks[i] = checks_[first + i];
+    }
+}
+
+void
 PhysicalMemory::writeCheck(PhysAddr addr, std::uint8_t check)
 {
     checks_[wordIndex(addr)] = check;

@@ -84,6 +84,11 @@ class PhysicalMemory
     /** @return the stored check byte for the word at @p addr. */
     std::uint8_t readCheck(PhysAddr addr) const;
 
+    /** Copy the kEccGroupsPerLine data words and check bytes of the
+     *  line at line-aligned @p line_addr into @p words and @p checks. */
+    void readLine(PhysAddr line_addr, std::uint64_t *words,
+                  std::uint8_t *checks) const;
+
     /** Overwrite the stored check byte for the word at @p addr. */
     void writeCheck(PhysAddr addr, std::uint8_t check);
 

@@ -223,16 +223,26 @@ Kernel::translate(VirtAddr vaddr)
 {
     AddressSpace &space = current_->space_;
     VirtAddr vpage = alignDown(vaddr, kPageSize);
-    if (!space.tlb.access(vpage))
+    bool hit = false;
+    PageTableEntry *&cached = space.tlb.lookup(vpage, hit);
+    // A hit on a resident, accessible page needs no walk: the cached
+    // entry is the page table's own (unmap shoots it down first).
+    if (hit && cached->present && cached->accessible)
+        return cached->frame + (vaddr - vpage);
+    if (!hit)
         clock_.advance(kTlbMissCycles);
     for (int attempt = 0; attempt < 4; ++attempt) {
         PageTableEntry *entry = space.pageTable.find(vpage);
         if (!entry) {
-            // Never leave an invalid translation cached: the access above
+            // Never leave an invalid translation cached: the lookup above
             // optimistically inserted the vpage before the walk failed.
             space.tlb.invalidate(vpage);
             panic("SIGSEGV: access to unmapped address ", vaddr);
         }
+        // Cache the walk before a page-in hook or SEGV handler can
+        // reshape the TLB and leave the slot reference dangling.
+        if (attempt == 0)
+            cached = entry;
         if (!entry->present)
             pageIn(vpage);
         if (!entry->accessible) {
@@ -805,10 +815,12 @@ Kernel::auditInvariants() const
         const AddressSpace &space = proc->space_;
 
         // TLB ⊆ page table, per process: every cached translation must
-        // refer to a mapped, resident page of *this* space. Unmap,
-        // mprotect and swap transitions all shoot the entry down, and
-        // failed walks never install one.
-        space.tlb.forEachEntry([&](VirtAddr vpage) {
+        // refer to a mapped, resident page of *this* space, through the
+        // very entry a fresh walk finds. Unmap, mprotect and swap
+        // transitions all shoot the entry down, and failed walks never
+        // install one.
+        space.tlb.forEachEntry([&](VirtAddr vpage,
+                                   const PageTableEntry *cached) {
             const PageTableEntry *entry = space.pageTable.find(vpage);
             SIMCHECK_AUDIT(AuditDomain::Kernel, "tlb_entry_mapped",
                            entry != nullptr, "pid ", proc->pid(),
@@ -816,6 +828,11 @@ Kernel::auditInvariants() const
             SIMCHECK_AUDIT(AuditDomain::Kernel, "tlb_entry_resident",
                            !entry || entry->present, "pid ", proc->pid(),
                            " TLB caches swapped-out vpage ", vpage);
+            SIMCHECK_AUDIT(AuditDomain::Kernel, "tlb_pte_current",
+                           cached == entry, "pid ", proc->pid(),
+                           " TLB slot for vpage ", vpage,
+                           " caches a page-table entry other than the "
+                           "one the page table holds");
         });
 
         // A frame backs at most one page of one process — address spaces

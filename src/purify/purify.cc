@@ -1,7 +1,6 @@
 #include "purify/purify.h"
 
 #include <algorithm>
-#include <deque>
 #include <vector>
 
 #include "common/costs.h"
@@ -198,37 +197,13 @@ PurifyTool::onAccess(VirtAddr addr, std::size_t size, bool is_write)
     machine_.clock().advance(kPurifyCheckCycles + (words - 1) * 6);
     stats_.add(PurifyStat::AccessesChecked);
 
-    bool any_unallocated = false;
-    bool any_freed = false;
-    bool any_uninit_read = false;
-    VirtAddr first_unallocated = 0;
-    VirtAddr first_freed = 0;
-    for (std::size_t i = 0; i < size; ++i) {
-        switch (shadow_.get(addr + i)) {
-          case ByteState::Unallocated:
-            if (!any_unallocated)
-                first_unallocated = addr + i;
-            any_unallocated = true;
-            break;
-          case ByteState::Freed:
-            if (!any_freed)
-                first_freed = addr + i;
-            any_freed = true;
-            break;
-          case ByteState::AllocUninit:
-            if (!is_write)
-                any_uninit_read = true;
-            break;
-          case ByteState::AllocInit:
-            break;
-        }
-    }
+    SpanStates states = shadow_.classify(addr, size);
 
-    if (any_unallocated) {
+    if (states.anyUnallocated) {
         // Diagnose from the first byte that actually violates, not the
         // access base (a write may start inside a block and run past
         // its end).
-        VirtAddr addr = first_unallocated;
+        VirtAddr addr = states.firstUnallocated;
         // Array-bounds error: identify the neighbouring block.
         const Block *owner = nullptr;
         CorruptionKind kind = CorruptionKind::OverflowPadding;
@@ -251,18 +226,19 @@ PurifyTool::onAccess(VirtAddr addr, std::size_t size, bool is_write)
         reportCorruption(kind, owner, addr);
     }
 
-    if (any_freed) {
+    if (states.anyFreed) {
+        VirtAddr addr = states.firstFreed;
         const Block *owner = nullptr;
-        auto it = freed_.upper_bound(first_freed);
+        auto it = freed_.upper_bound(addr);
         if (it != freed_.begin()) {
             auto prev = std::prev(it);
-            if (first_freed < prev->second.userAddr + prev->second.size)
+            if (addr < prev->second.userAddr + prev->second.size)
                 owner = &prev->second;
         }
-        reportCorruption(CorruptionKind::UseAfterFree, owner, first_freed);
+        reportCorruption(CorruptionKind::UseAfterFree, owner, addr);
     }
 
-    if (any_uninit_read) {
+    if (states.anyUninit && !is_write) {
         ++uninitReads_;
         stats_.add(PurifyStat::UninitReads);
     }
@@ -270,11 +246,7 @@ PurifyTool::onAccess(VirtAddr addr, std::size_t size, bool is_write)
     if (is_write) {
         machine_.clock().advance(size * kPurifyShadowByteCycles);
         // Mark written bytes initialised (only where allocated).
-        for (std::size_t i = 0; i < size; ++i) {
-            ByteState state = shadow_.get(addr + i);
-            if (state == ByteState::AllocUninit)
-                shadow_.setRange(addr + i, 1, ByteState::AllocInit);
-        }
+        shadow_.markWritten(addr, size);
     }
 }
 
@@ -286,50 +258,58 @@ PurifyTool::markAndSweep()
     lastSweep_ = appNow();
     stats_.add(PurifyStat::Sweeps);
 
-    // Mark phase: conservative BFS from the root set through heap words.
-    std::unordered_set<VirtAddr> marked;
-    std::deque<VirtAddr> worklist;
+    // live_ cannot change during a sweep, so the mark phase searches a
+    // flat copy of it and marks blocks by index: same order, same
+    // verdicts, no tree walks or hashing per scanned word.
+    struct Span
+    {
+        VirtAddr user;
+        VirtAddr end;
+    };
+    std::vector<Span> spans;
+    spans.reserve(live_.size());
+    for (const auto &[user, block] : live_)
+        spans.push_back(Span{user, user + block.size});
+    const VirtAddr lo = spans.empty() ? 0 : spans.front().user;
+    const VirtAddr hi = spans.empty() ? 0 : spans.back().end;
 
-    auto block_of = [this](VirtAddr value) -> const Block * {
-        auto it = live_.upper_bound(value);
-        if (it == live_.begin())
-            return nullptr;
-        auto prev = std::prev(it);
-        if (value < prev->second.userAddr + prev->second.size)
-            return &prev->second;
-        return nullptr;
+    // Mark phase: conservative BFS from the root set through heap words.
+    std::vector<std::uint8_t> marked(spans.size(), 0);
+    std::vector<std::size_t> worklist;
+    worklist.reserve(spans.size());
+
+    auto mark = [&](VirtAddr value) {
+        if (value < lo || value >= hi)
+            return;
+        auto it = std::upper_bound(
+            spans.begin(), spans.end(), value,
+            [](VirtAddr v, const Span &span) { return v < span.user; });
+        std::size_t index = static_cast<std::size_t>(it - spans.begin()) - 1;
+        if (value < spans[index].end && !marked[index]) {
+            marked[index] = 1;
+            worklist.push_back(index);
+        }
     };
 
     if (rootProvider_) {
-        for (VirtAddr root : rootProvider_()) {
-            if (const Block *block = block_of(root)) {
-                if (marked.insert(block->userAddr).second)
-                    worklist.push_back(block->userAddr);
-            }
-        }
+        for (VirtAddr root : rootProvider_())
+            mark(root);
     }
 
-    while (!worklist.empty()) {
-        VirtAddr user = worklist.front();
-        worklist.pop_front();
-        const Block &block = live_.at(user);
+    for (std::size_t next = 0; next < worklist.size(); ++next) {
+        const Span &span = spans[worklist[next]];
 
         // Scan the block's words for values that look like pointers.
-        std::size_t words = block.size / 8;
+        std::size_t words = (span.end - span.user) / 8;
         machine_.clock().advance(words * kPurifySweepWordCycles);
-        for (std::size_t i = 0; i < words; ++i) {
-            std::uint64_t value =
-                machine_.load<std::uint64_t>(user + i * 8);
-            if (const Block *target = block_of(value)) {
-                if (marked.insert(target->userAddr).second)
-                    worklist.push_back(target->userAddr);
-            }
-        }
+        for (std::size_t i = 0; i < words; ++i)
+            mark(machine_.load<std::uint64_t>(span.user + i * 8));
     }
 
     // Sweep phase: unmarked live blocks are leaks.
+    std::size_t index = 0;
     for (const auto &[user, block] : live_) {
-        if (marked.count(user) || reportedLeaked_.count(user))
+        if (marked[index++] || reportedLeaked_.count(user))
             continue;
         reportedLeaked_.insert(user);
         LeakReport report;

@@ -25,11 +25,32 @@ enum class ByteState : std::uint8_t
     Freed = 3        ///< was allocated, has been freed
 };
 
+/** What a span of bytes holds, as the per-access check asks it. */
+struct SpanStates
+{
+    bool anyUnallocated = false;
+    VirtAddr firstUnallocated = 0; ///< valid when anyUnallocated
+    bool anyFreed = false;
+    VirtAddr firstFreed = 0;       ///< valid when anyFreed
+    bool anyUninit = false;        ///< some byte is AllocUninit
+};
+
+/**
+ * Shadow pages are created on first write and looked up once per page
+ * a range touches, never once per byte.
+ */
 class ShadowMemory
 {
   public:
     /** Set @p len bytes starting at @p addr to @p state. */
     void setRange(VirtAddr addr, std::size_t len, ByteState state);
+
+    /** @return the states found in the @p len bytes at @p addr. */
+    SpanStates classify(VirtAddr addr, std::size_t len) const;
+
+    /** A store to @p len bytes at @p addr: every AllocUninit byte
+     *  becomes AllocInit; other states are left alone. */
+    void markWritten(VirtAddr addr, std::size_t len);
 
     /** @return the state of the byte at @p addr. */
     ByteState get(VirtAddr addr) const;

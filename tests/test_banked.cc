@@ -9,14 +9,12 @@
 
 #include <gtest/gtest.h>
 
-#include <fstream>
-#include <sstream>
-
 #include "common/clock.h"
 #include "common/logging.h"
 #include "mem/memory_controller.h"
 #include "mem/physical_memory.h"
 #include "os/machine.h"
+#include "tests/golden.h"
 #include "trace/trace.h"
 #include "workloads/cli.h"
 #include "workloads/driver.h"
@@ -296,18 +294,6 @@ TEST(BankedCli, BanksFlagParsesAndValidates)
         parseCliArguments({"gzip", "--banks", "0"}).options.has_value());
     EXPECT_FALSE(
         parseCliArguments({"gzip", "--banks", "65"}).options.has_value());
-}
-
-/** Read a pre-refactor golden capture from tests/data/. */
-std::string
-readGolden(const std::string &name)
-{
-    std::ifstream file(std::string(SAFEMEM_TEST_DATA_DIR) + "/" + name,
-                       std::ios::binary);
-    EXPECT_TRUE(file.is_open()) << "missing golden " << name;
-    std::ostringstream text;
-    text << file.rdbuf();
-    return text.str();
 }
 
 TEST(BankedGolden, SingleBankSweepBitIdenticalToPreBankMachine)

@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <memory>
@@ -209,6 +210,113 @@ TEST_P(CodecOracle, DecodeMatchesTheNaiveClassifier)
         ASSERT_TRUE(sameVerdict(rng.next(), 1ULL << bit));
     for (int i = 0; i < 20000; ++i)
         ASSERT_TRUE(sameVerdict(rng.next(), rng.next() & ((1ULL << k) - 1)));
+}
+
+/** Forwards everything but allClean(), so calls take the base-class
+ *  default — the path of any wrapper codec, such as a timing shim. */
+class PassThroughCodec final : public EccCodec
+{
+  public:
+    explicit PassThroughCodec(const EccCodec &inner) : inner_(inner) {}
+
+    const char *name() const override { return inner_.name(); }
+    int dataBits() const override { return inner_.dataBits(); }
+    int checkBits() const override { return inner_.checkBits(); }
+    std::uint64_t encode(std::uint64_t data) const override
+    {
+        return inner_.encode(data);
+    }
+    EccDecodeResult decode(std::uint64_t data,
+                           std::uint64_t check) const override
+    {
+        return inner_.decode(data, check);
+    }
+    std::uint64_t column(int bit) const override
+    {
+        return inner_.column(bit);
+    }
+
+  private:
+    const EccCodec &inner_;
+};
+
+TEST_P(CodecOracle, AllCleanMatchesPerWordDecode)
+{
+    constexpr std::size_t kWords = 8;
+    const PassThroughCodec wrapped(*code_);
+    // The check lane holds one byte per word, so only check bits below
+    // the lesser of k and 8 can be stored or flipped.
+    const int stored_check_bits = std::min(GetParam().checkBits, 8);
+    const auto top_data_bit =
+        static_cast<std::uint64_t>(code_->dataBits() - 1);
+    const auto top_check_bit =
+        static_cast<std::uint64_t>(stored_check_bits - 1);
+    Rng rng(0xa11c1ea + static_cast<std::uint64_t>(GetParam().checkBits));
+
+    auto agree = [&](const std::uint64_t *data, const std::uint8_t *check,
+                     std::size_t n) -> ::testing::AssertionResult {
+        bool want = true;
+        for (std::size_t i = 0; i < n; ++i)
+            want = want && code_->decode(data[i], check[i]).status ==
+                               EccDecodeStatus::Ok;
+        bool got = code_->allClean(data, check, n);
+        bool via_default = wrapped.allClean(data, check, n);
+        if (got == want && via_default == want)
+            return ::testing::AssertionSuccess();
+        return ::testing::AssertionFailure()
+               << "per-word decode says " << want << ", allClean " << got
+               << ", the default " << via_default;
+    };
+
+    // A random clean line: words whose check bits all fit the lane.
+    auto clean_line = [&](std::uint64_t *data, std::uint8_t *check) {
+        for (std::size_t i = 0; i < kWords; ++i) {
+            do {
+                data[i] = rng.next();
+            } while (code_->encode(data[i]) >> stored_check_bits != 0);
+            check[i] = static_cast<std::uint8_t>(code_->encode(data[i]));
+        }
+    };
+
+    std::uint64_t data[kWords] = {};
+    std::uint8_t check[kWords] = {};
+    ASSERT_TRUE(agree(data, check, 0)) << "an empty line is clean";
+    for (int trial = 0; trial < 64; ++trial) {
+        clean_line(data, check);
+        ASSERT_TRUE(agree(data, check, kWords));
+        ASSERT_TRUE(code_->allClean(data, check, kWords));
+
+        // One flipped data or check bit, at every word index.
+        for (std::size_t i = 0; i < kWords; ++i) {
+            std::uint64_t data_bit = 1ULL << rng.range(0, top_data_bit);
+            data[i] ^= data_bit;
+            ASSERT_TRUE(agree(data, check, kWords)) << "data, word " << i;
+            data[i] ^= data_bit;
+
+            auto check_bit = static_cast<std::uint8_t>(
+                1u << rng.range(0, top_check_bit));
+            check[i] ^= check_bit;
+            ASSERT_TRUE(agree(data, check, kWords)) << "check, word " << i;
+            EXPECT_FALSE(code_->allClean(data, check, kWords));
+            check[i] ^= check_bit;
+        }
+
+        // Scrambled words: the same three data bits flipped in every
+        // word, as a watch scrambles a whole line.
+        std::uint64_t mask = 0;
+        while (std::popcount(mask) < 3)
+            mask |= 1ULL << rng.range(0, top_data_bit);
+        for (std::size_t i = 0; i < kWords; ++i)
+            data[i] ^= mask;
+        ASSERT_TRUE(agree(data, check, kWords)) << "scrambled line";
+        // Only the first word scrambled, then only the last.
+        for (std::size_t i = 1; i < kWords; ++i)
+            data[i] ^= mask;
+        ASSERT_TRUE(agree(data, check, kWords)) << "first word scrambled";
+        data[0] ^= mask;
+        data[kWords - 1] ^= mask;
+        ASSERT_TRUE(agree(data, check, kWords)) << "last word scrambled";
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(

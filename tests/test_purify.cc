@@ -14,6 +14,8 @@
 #include "common/logging.h"
 #include "purify/purify.h"
 #include "purify/shadow_memory.h"
+#include "tests/golden.h"
+#include "workloads/cli.h"
 
 namespace safemem {
 namespace {
@@ -58,6 +60,46 @@ TEST(ShadowMemory, TwoBitsPerByteAccounting)
     ShadowMemory shadow;
     shadow.setRange(0, 1, ByteState::AllocInit);
     EXPECT_EQ(shadow.shadowBytes(), kPageSize / 4);
+}
+
+TEST(ShadowMemory, ClassifyFindsTheFirstOfEachState)
+{
+    ShadowMemory shadow;
+    SpanStates untouched = shadow.classify(0x5000, 16);
+    EXPECT_TRUE(untouched.anyUnallocated);
+    EXPECT_EQ(untouched.firstUnallocated, 0x5000u);
+    EXPECT_FALSE(untouched.anyFreed);
+    EXPECT_FALSE(untouched.anyUninit);
+
+    // The last 8 bytes of page 0 hold 4 init, 2 freed, 2 uninit bytes;
+    // page 1 has no shadow at all.
+    VirtAddr base = kPageSize - 8;
+    shadow.setRange(base, 4, ByteState::AllocInit);
+    shadow.setRange(base + 4, 2, ByteState::Freed);
+    shadow.setRange(base + 6, 2, ByteState::AllocUninit);
+    SpanStates span = shadow.classify(base, 16);
+    EXPECT_TRUE(span.anyFreed);
+    EXPECT_EQ(span.firstFreed, base + 4);
+    EXPECT_TRUE(span.anyUninit);
+    EXPECT_TRUE(span.anyUnallocated);
+    EXPECT_EQ(span.firstUnallocated, kPageSize);
+    EXPECT_FALSE(shadow.classify(base, 4).anyUnallocated);
+}
+
+TEST(ShadowMemory, MarkWrittenPromotesOnlyUninitBytes)
+{
+    ShadowMemory shadow;
+    VirtAddr base = kPageSize - 4;
+    shadow.setRange(base, 2, ByteState::AllocUninit);
+    shadow.setRange(base + 2, 1, ByteState::Freed);
+    shadow.setRange(base + 3, 1, ByteState::AllocUninit);
+    shadow.markWritten(base, 8); // runs on into a page with no shadow
+    EXPECT_EQ(shadow.get(base), ByteState::AllocInit);
+    EXPECT_EQ(shadow.get(base + 1), ByteState::AllocInit);
+    EXPECT_EQ(shadow.get(base + 2), ByteState::Freed);
+    EXPECT_EQ(shadow.get(base + 3), ByteState::AllocInit);
+    EXPECT_EQ(shadow.get(kPageSize), ByteState::Unallocated);
+    EXPECT_FALSE(shadow.covered(kPageSize)) << "a store creates no shadow";
 }
 
 class PurifyTest : public ::testing::Test
@@ -228,6 +270,97 @@ TEST_F(PurifyTest, ConservativeInteriorPointerKeepsBlockAlive)
     EXPECT_TRUE(purify.leakReports().empty());
 }
 
+TEST_F(PurifyTest, PointerToLastByteKeepsBlockAlive)
+{
+    VirtAddr a = alloc(64);
+    VirtAddr b = alloc(48);
+    machine.store<std::uint64_t>(a, b + 47);
+    dropRoot(b);
+    purify.finish();
+    EXPECT_TRUE(purify.leakReports().empty());
+}
+
+TEST_F(PurifyTest, OnePastTheEndAndRedZoneValuesDoNotKeepBlockAlive)
+{
+    // The target is the middle of three blocks, so its trailing values
+    // lie inside the heap's span and only the block search rejects them.
+    VirtAddr a = alloc(64);
+    std::vector<VirtAddr> blocks = {alloc(48, 0x41), alloc(48, 0x41),
+                                    alloc(48, 0x41)};
+    std::sort(blocks.begin(), blocks.end());
+    VirtAddr b = blocks[1];
+    machine.store<std::uint64_t>(a, b + 48);      // one past the end
+    machine.store<std::uint64_t>(a + 8, b + 56);  // trailing red zone
+    machine.store<std::uint64_t>(a + 16, b + 48 + 31);
+    dropRoot(b);
+    purify.finish();
+    ASSERT_EQ(purify.leakReports().size(), 1u);
+    EXPECT_EQ(purify.leakReports()[0].siteTag, 0x41u);
+}
+
+TEST_F(PurifyTest, ZeroSizeBlockIsNeverReferenced)
+{
+    // No address lies inside an empty block, so not even a root that
+    // names its exact address keeps it alive.
+    VirtAddr a = alloc(64);
+    VirtAddr empty = alloc(0, 0x42);
+    machine.store<std::uint64_t>(a, empty);
+    purify.finish();
+    ASSERT_EQ(purify.leakReports().size(), 1u);
+    EXPECT_EQ(purify.leakReports()[0].siteTag, 0x42u);
+    EXPECT_EQ(purify.leakReports()[0].objectSize, 0u);
+}
+
+TEST_F(PurifyTest, ValuesOutsideTheHeapSpanMarkNothing)
+{
+    VirtAddr a = alloc(64);
+    VirtAddr b = alloc(64, 0x43);
+    VirtAddr c = alloc(64, 0x44);
+    VirtAddr lowest = std::min({a, b, c});
+    VirtAddr highest = std::max({a, b, c});
+    machine.store<std::uint64_t>(a, lowest - 1);
+    machine.store<std::uint64_t>(a + 8, highest + 64);
+    machine.store<std::uint64_t>(a + 16, ~0ULL);
+    machine.store<std::uint64_t>(a + 24, 0);
+    dropRoot(b);
+    dropRoot(c);
+    roots.push_back(lowest - 1);
+    roots.push_back(highest + 64);
+    purify.finish();
+    ASSERT_EQ(purify.leakReports().size(), 2u);
+    std::vector<std::uint64_t> tags = {purify.leakReports()[0].siteTag,
+                                       purify.leakReports()[1].siteTag};
+    std::sort(tags.begin(), tags.end());
+    EXPECT_EQ(tags, (std::vector<std::uint64_t>{0x43, 0x44}));
+}
+
+TEST_F(PurifyTest, UnreachableCycleLeaksBothBlocks)
+{
+    VirtAddr a = alloc(64, 0x45);
+    VirtAddr b = alloc(64, 0x46);
+    machine.store<std::uint64_t>(a, b);
+    machine.store<std::uint64_t>(b, a);
+    dropRoot(a);
+    dropRoot(b);
+    purify.finish();
+    EXPECT_EQ(purify.leakReports().size(), 2u);
+    EXPECT_EQ(purify.stats().get("leaked_blocks"), 2u);
+}
+
+TEST_F(PurifyTest, LeakedBlockIsReportedOnceAcrossSweeps)
+{
+    alloc(64);
+    VirtAddr leaked = alloc(64, 0x47);
+    dropRoot(leaked);
+    purify.finish();
+    purify.finish();
+    purify.finish();
+    ASSERT_EQ(purify.leakReports().size(), 1u);
+    EXPECT_EQ(purify.leakReports()[0].siteTag, 0x47u);
+    EXPECT_EQ(purify.stats().get("leaked_blocks"), 1u);
+    EXPECT_GE(purify.stats().get("sweeps"), 3u);
+}
+
 TEST_F(PurifyTest, PerAccessCheckingIsCharged)
 {
     VirtAddr addr = alloc(64);
@@ -257,6 +390,19 @@ TEST_F(PurifyTest, SweepCostScalesWithHeap)
     Cycles delta =
         machine.clock().charged(CostCenter::ToolLeak) - before;
     EXPECT_GE(delta, 50 * (1024 / 8) * kPurifySweepWordCycles);
+}
+
+TEST(PurifyGolden, BuggySweepMatchesCapturedCounts)
+{
+    // Every app under Purify on bug-triggering inputs, full counter
+    // dump: the simulated cycles, sweep counts, leak verdicts and TLB
+    // and cache traffic of the heap scan, pinned byte for byte.
+    CliParse parse = parseCliArguments({"all", "--tool", "purify", "--buggy",
+                                        "--stats", "--requests", "400",
+                                        "--workers", "0"});
+    ASSERT_TRUE(parse.options.has_value());
+    EXPECT_EQ(runCli(*parse.options).report,
+              readGolden("golden_purify_sweep.txt"));
 }
 
 } // namespace
