@@ -82,7 +82,6 @@ CellResult
 runCell(const CellSpec &spec, std::uint64_t batches, std::uint64_t seed)
 {
     MachineConfig config{32u << 20, CacheConfig{64, 4}, 1024};
-    config.banks = 4;
     config.geometry = spec.geometry;
     Machine machine(config);
     machine.kernel().setPanicOnHardwareError(false);

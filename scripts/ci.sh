@@ -25,18 +25,18 @@
 #                           malformed JSON-lines
 #   7. multiproc smoke    — the full app sweep at --procs 2 must produce
 #                           byte-identical reports for any worker count
-#   7b. bank smoke        — the full app sweep at --banks 4 must be
-#                           byte-identical for any worker count, and
-#                           bench_banked --json must report bit-identical
-#                           serial-vs-matrix cells across the bank sweep
-#   7c. fleet smoke       — a reduced bench_fleet sampled-monitoring
+#   7b. fleet smoke       — a reduced bench_fleet sampled-monitoring
 #                           sweep: byte-identical JSON for any worker
-#                           count, pinned cell shape, overhead ordering
-#   7d. tradeoff smoke    — bench_ecc_tradeoff: byte-identical JSON for
+#                           count, pinned cell shape, overhead ordering;
+#                           and the committed BENCH_fleet.json
+#                           reproduced byte for byte
+#   7c. tradeoff smoke    — bench_ecc_tradeoff: byte-identical JSON for
 #                           any worker count, redundancy overhead falling
 #                           with codeword size, decode/RMW accounting,
-#                           and --geometry word bit-identical to the
-#                           pre-geometry golden sweep
+#                           --geometry word bit-identical to the
+#                           pre-geometry golden sweep, and the committed
+#                           BENCH_ecc_tradeoff.json reproduced byte for
+#                           byte
 #   8. notrace build      — library/tools compile with -DSAFEMEM_TRACE=OFF
 #   9. static analysis    — -Wthread-safety build (clang++), clang-tidy
 #                           gauntlet, negative-compile proof, repo lint;
@@ -246,13 +246,10 @@ assert lines, "trace_dump --summary produced no sections"
 for line in lines:
     doc = json.loads(line)
     assert set(doc) == {"run", "emitted", "retained", "cycle_first",
-                        "cycle_last", "events", "bank_events"}, \
+                        "cycle_last", "events"}, \
         f"bad key set: {sorted(doc)}"
     assert doc["retained"] == sum(doc["events"].values()), doc
     assert doc["cycle_first"] <= doc["cycle_last"], doc
-    # Per-bank counts cover only bank-carrying events, so they are
-    # bounded by (not equal to) the retained total.
-    assert sum(doc["bank_events"].values()) <= doc["retained"], doc
 print(f"trace summary: {len(lines)} section(s)")
 PYEOF
         python3 - "$out" <<'PYEOF'
@@ -264,16 +261,10 @@ assert lines, "trace_dump produced no records"
 
 last_cycle = {}
 last_seq = {}
-bank_records = 0
 for line in lines:
     rec = json.loads(line)
-    base = {"run", "seq", "cycle", "pid", "event", "a", "b", "c"}
-    # Bank-carrying events get the decoded "bank" key appended.
-    assert set(rec) in (base, base | {"bank"}), \
-        f"bad key set: {sorted(rec)}"
-    if "bank" in rec:
-        bank_records += 1
-        assert rec["bank"] in (rec["a"], rec["b"], rec["c"]), rec
+    assert set(rec) == {"run", "seq", "cycle", "pid", "event", "a", "b",
+                        "c"}, f"bad key set: {sorted(rec)}"
     assert isinstance(rec["event"], str) and rec["event"] != "?", rec
     run = rec["run"]
     assert rec["cycle"] >= last_cycle.get(run, 0), f"cycle ran backwards: {rec}"
@@ -281,58 +272,7 @@ for line in lines:
     last_cycle[run] = rec["cycle"]
     last_seq[run] = rec["seq"]
 assert "gzip/safemem" in last_seq, f"runs seen: {sorted(last_seq)}"
-assert bank_records > 0, "no bank-carrying records decoded"
-print(f"trace smoke: {len(lines)} records across {len(last_seq)} run(s), "
-      f"{bank_records} bank-carrying")
-PYEOF
-}
-
-bank_smoke() {
-    # The banked memory system's run-identity contract: the whole-app
-    # sweep at --banks 4 (with consolidated processes sharing the
-    # banked controller) must produce byte-identical reports for any
-    # worker count, and the reduced bench_banked sweep must report
-    # every (banks x procs) cell bit-identical between the serial and
-    # matrix drivers.
-    local serial=build/bank_serial.txt
-    local parallel=build/bank_parallel.txt
-    local bench=build/bench/BENCH_banked_smoke.json
-    build/tools/safemem_run all --banks 4 --procs 2 --buggy \
-        --requests 60 --stats --simcheck --workers 1 >"$serial" &&
-        build/tools/safemem_run all --banks 4 --procs 2 --buggy \
-            --requests 60 --stats --simcheck --workers 4 >"$parallel" &&
-        grep -q "sched.bank_disjoint_handoffs" "$serial" &&
-        if cmp -s "$serial" "$parallel"; then
-            echo "bank smoke: serial and 4-worker --banks 4 sweeps identical"
-        else
-            echo "bank smoke: worker count changed the results:"
-            diff "$serial" "$parallel" | head -20
-            return 1
-        fi &&
-        build/bench/bench_banked --json --requests 250 >"$bench" &&
-        python3 - "$bench" <<'PYEOF'
-import json
-import sys
-
-with open(sys.argv[1]) as fh:
-    doc = json.load(fh)
-
-for key in ("bench", "app", "requests", "cells", "identical"):
-    assert key in doc, f"missing top-level key: {key}"
-assert doc["bench"] == "banked"
-assert len(doc["cells"]) == 12, f"expected the 4x3 bank sweep: {doc}"
-for cell in doc["cells"]:
-    for key in ("banks", "procs", "seconds", "total_cycles",
-                "disjoint_handoffs", "gated_handoffs", "bug_detected",
-                "identical"):
-        assert key in cell, f"missing cell key: {key}"
-    assert cell["identical"] is True, f"cell diverged: {cell}"
-    assert cell["bug_detected"] is True, f"bug missed: {cell}"
-    if cell["banks"] == 1:
-        assert cell["disjoint_handoffs"] == 0, \
-            f"banks=1 must not classify hand-offs: {cell}"
-assert doc["identical"] is True, "a banked cell diverged"
-print(f"bank smoke: {len(doc['cells'])} cells bit-identical")
+print(f"trace smoke: {len(lines)} records across {len(last_seq)} run(s)")
 PYEOF
 }
 
@@ -364,9 +304,11 @@ fleet_smoke() {
     # must produce byte-identical JSON for any worker count (the JSON
     # deliberately carries no wall-clock fields), report the expected
     # cell set and shape, and survive its own in-process worker-count
-    # identity check (non-zero exit otherwise).
+    # identity check (non-zero exit otherwise). At its defaults the
+    # bench must reproduce the committed BENCH_fleet.json byte for byte.
     local one=build/bench/BENCH_fleet_smoke_w1.json
     local four=build/bench/BENCH_fleet_smoke_w4.json
+    local committed=build/bench/BENCH_fleet_committed.json
     build/bench/bench_fleet --json --procs 4 --seeds 2 --requests 120 \
         --workers 1 >"$one" &&
         build/bench/bench_fleet --json --procs 4 --seeds 2 \
@@ -378,6 +320,13 @@ fleet_smoke() {
             diff "$one" "$four" | head -20
             return 1
         fi &&
+        build/bench/bench_fleet --json >"$committed" &&
+        if ! cmp -s "$committed" BENCH_fleet.json; then
+            echo "fleet smoke: bench_fleet no longer reproduces" \
+                 "BENCH_fleet.json:"
+            diff "$committed" BENCH_fleet.json | head -20
+            return 1
+        fi &&
         python3 - "$one" <<'PYEOF'
 import json
 import math
@@ -387,7 +336,7 @@ with open(sys.argv[1]) as fh:
     doc = json.load(fh)
 
 for key in ("bench", "app", "procs", "requests", "seeds", "base_seed",
-            "banks", "identical", "cells"):
+            "identical", "cells"):
     assert key in doc, f"missing top-level key: {key}"
 assert doc["bench"] == "fleet"
 assert doc["identical"] is True, "worker pools diverged inside the bench"
@@ -427,9 +376,11 @@ tradeoff_smoke() {
     # redundancy overhead falling as codewords grow at a zero error
     # rate, decode and RMW costs separately accounted — and the word
     # default must keep the whole-app sweep byte-identical to the
-    # pre-geometry golden capture.
+    # pre-geometry golden capture. At its defaults the bench must
+    # reproduce the committed BENCH_ecc_tradeoff.json byte for byte.
     local one=build/bench/BENCH_tradeoff_smoke_w1.json
     local four=build/bench/BENCH_tradeoff_smoke_w4.json
+    local committed=build/bench/BENCH_tradeoff_committed.json
     local golden=build/tradeoff_golden_word.txt
     build/bench/bench_ecc_tradeoff --json --batches 6 --workers 1 \
         >"$one" &&
@@ -438,6 +389,13 @@ tradeoff_smoke() {
         if ! cmp -s "$one" "$four"; then
             echo "tradeoff smoke: worker count changed the results:"
             diff "$one" "$four" | head -20
+            return 1
+        fi &&
+        build/bench/bench_ecc_tradeoff --json >"$committed" &&
+        if ! cmp -s "$committed" BENCH_ecc_tradeoff.json; then
+            echo "tradeoff smoke: bench_ecc_tradeoff no longer reproduces" \
+                 "BENCH_ecc_tradeoff.json:"
+            diff "$committed" BENCH_ecc_tradeoff.json | head -20
             return 1
         fi &&
         build/tools/safemem_run all --stats --workers 0 --geometry word \
@@ -562,9 +520,9 @@ stage "campaign smoke (ecc codec zoo)" campaign_smoke
 stage "perfbench smoke (perfbench/run.py, every workload)" perfbench_smoke
 stage "trace smoke (safemem_run --trace + trace_dump)" trace_smoke
 stage "multiproc smoke (--procs 2, serial vs parallel)" multiproc_smoke
-stage "bank smoke (--banks 4 sweep + bench_banked)" bank_smoke
-stage "fleet smoke (bench_fleet sampled sweep)" fleet_smoke
-stage "tradeoff smoke (bench_ecc_tradeoff + word golden)" tradeoff_smoke
+stage "fleet smoke (bench_fleet sampled sweep + committed JSON)" fleet_smoke
+stage "tradeoff smoke (bench_ecc_tradeoff + word golden + committed JSON)" \
+    tradeoff_smoke
 stage "notrace build (-DSAFEMEM_TRACE=OFF)" notrace_build
 stage "static-analysis gauntlet" static_analysis
 stage "repo lint" python3 tools/lint/lint.py --root .

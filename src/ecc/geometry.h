@@ -49,7 +49,7 @@ enum class EdcKind : std::uint8_t
  * exactly the paper's chipset. A non-zero codewordBytes selects the
  * large-codeword EDC+ECC split with that codeword size (a power of two
  * in [512, kPageSize], so a codeword never crosses a page and therefore
- * never crosses a bank or a process boundary).
+ * never crosses a process boundary).
  */
 struct ProtectionGeometry
 {

@@ -43,8 +43,6 @@ struct EccFaultInfo
     int wordIndex = 0;
     /** Raw (possibly scrambled/corrupt) data of the faulting word. */
     std::uint64_t rawData = 0;
-    /** Bank owning the affected line (page-interleaved). */
-    unsigned bank = 0;
     /** Base of the ECC codeword the fault was decoded in (block
      *  geometries; 0 on the per-word SEC-DED default, whose codeword is
      *  the faulting word itself). */

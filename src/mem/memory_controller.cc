@@ -21,7 +21,7 @@ edcFoldBytes(EdcKind kind)
 
 MemoryController::MemoryController(PhysicalMemory &memory, CycleClock &clock,
                                    Trace *trace, const EccCodec &code,
-                                   unsigned banks, ProtectionGeometry geometry)
+                                   ProtectionGeometry geometry)
     : memory_(memory), clock_(clock), code_(code), trace_(trace),
       geometry_(geometry)
 {
@@ -34,23 +34,15 @@ MemoryController::MemoryController(PhysicalMemory &memory, CycleClock &clock,
         panic("MemoryController: codec '", code_.name(), "' needs ",
               code_.checkBits(), " check bits; the DIMM stores ",
               memory_.checkBits());
-    if (banks < 1 || banks > kMaxMemoryBanks)
-        panic("MemoryController: ", banks, " banks outside [1, ",
-              kMaxMemoryBanks, "]");
-    if (memory_.size() / kPageSize < banks)
-        panic("MemoryController: ", banks, " banks but only ",
-              memory_.size() / kPageSize, " pages of DRAM");
     // A block-geometry datapath needs the DIMM's EDC lane, organised for
     // the same codeword size and fold kind. validCodewordBytes() caps
-    // codewords at one page, so a codeword never straddles a page — and
-    // with page-granular interleaving, never a bank — boundary.
+    // codewords at one page, so a codeword never straddles a page
+    // boundary.
     if (!geometry_.isWord() &&
         (!memory_.hasEdcLane() || !(memory_.geometry() == geometry_)))
         panic("MemoryController: geometry '", geometryName(geometry_),
               "' but the DIMM is organised for '",
               geometryName(memory_.geometry()), "'");
-    for (unsigned b = 0; b < banks; ++b)
-        banks_.emplace_back(b);
 }
 
 void
@@ -59,100 +51,33 @@ MemoryController::setInterruptHandler(EccInterruptHandler handler)
     interruptHandler_ = std::move(handler);
 }
 
-const MemoryBank &
-MemoryController::bank(unsigned id) const
-{
-    if (id >= banks_.size())
-        panic("MemoryController: bank ", id, " of ", banks_.size());
-    return banks_[id];
-}
-
-std::uint64_t
-MemoryController::bankMaskForSpan(PhysAddr addr, std::size_t bytes) const
-{
-    if (bytes == 0)
-        return 0;
-    std::uint64_t mask = 0;
-    PhysAddr first = alignDown(addr, kPageSize);
-    PhysAddr last = alignDown(addr + bytes - 1, kPageSize);
-    for (PhysAddr page = first; page <= last; page += kPageSize)
-        mask |= std::uint64_t{1} << bankOf(page);
-    return mask;
-}
-
-void
-MemoryController::lockBank(unsigned id)
-{
-    MemoryBank &bank = banks_.at(id);
-    SIMCHECK_AUDIT(AuditDomain::MemoryController, "bus_lock_pairing",
-                   !bank.locked_, "lockBank while bank ", id,
-                   " is already locked");
-    if (bank.locked_)
-        panic("MemoryController: bus already locked");
-    bank.locked_ = true;
-    stats_.add(ControllerStat::BusLocks);
-    bank.stats_.add(ControllerStat::BusLocks);
-    SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerBusLock, clock_.now(),
-                       id);
-}
-
-void
-MemoryController::unlockBank(unsigned id)
-{
-    MemoryBank &bank = banks_.at(id);
-    SIMCHECK_AUDIT(AuditDomain::MemoryController, "bus_lock_pairing",
-                   bank.locked_, "unlockBank while bank ", id,
-                   " is not locked");
-    if (!bank.locked_)
-        panic("MemoryController: bus not locked");
-    bank.locked_ = false;
-    SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerBusUnlock, clock_.now(),
-                       id);
-}
-
-bool
-MemoryController::bankLocked(unsigned id) const
-{
-    return banks_.at(id).locked_;
-}
-
 void
 MemoryController::lockBus()
 {
-    for (unsigned b = 0; b < banks_.size(); ++b)
-        lockBank(b);
+    SIMCHECK_AUDIT(AuditDomain::MemoryController, "bus_lock_pairing",
+                   !busLocked_, "lockBus while the bus is already locked");
+    if (busLocked_)
+        panic("MemoryController: bus already locked");
+    busLocked_ = true;
+    stats_.add(ControllerStat::BusLocks);
+    SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerBusLock, clock_.now());
 }
 
 void
 MemoryController::unlockBus()
 {
-    for (unsigned b = static_cast<unsigned>(banks_.size()); b-- > 0;)
-        unlockBank(b);
-}
-
-bool
-MemoryController::busLocked() const
-{
-    for (const MemoryBank &bank : banks_)
-        if (!bank.locked_)
-            return false;
-    return true;
-}
-
-bool
-MemoryController::anyBankLocked() const
-{
-    for (const MemoryBank &bank : banks_)
-        if (bank.locked_)
-            return true;
-    return false;
+    SIMCHECK_AUDIT(AuditDomain::MemoryController, "bus_lock_pairing",
+                   busLocked_, "unlockBus while the bus is not locked");
+    if (!busLocked_)
+        panic("MemoryController: bus not locked");
+    busLocked_ = false;
+    SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerBusUnlock, clock_.now());
 }
 
 void
 MemoryController::raise(const EccFaultInfo &info)
 {
     stats_.add(ControllerStat::InterruptsRaised);
-    banks_[info.bank].stats_.add(ControllerStat::InterruptsRaised);
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerInterrupt, clock_.now(),
                        info.lineAddr,
                        static_cast<std::uint64_t>(info.wordIndex),
@@ -175,7 +100,6 @@ MemoryController::decodeWord(PhysAddr word_addr, bool scrubbing,
 
     std::uint8_t check = memory_.readCheck(word_addr);
     EccDecodeResult result = code_.decode(data, check);
-    unsigned bank_id = bankOf(word_addr);
 
     switch (result.status) {
       case EccDecodeStatus::Ok:
@@ -185,14 +109,12 @@ MemoryController::decodeWord(PhysAddr word_addr, bool scrubbing,
         if (mode_ == EccMode::CheckOnly) {
             // Check-Only mode detects and reports but never corrects.
             stats_.add(ControllerStat::SingleBitReported);
-            banks_[bank_id].stats_.add(ControllerStat::SingleBitReported);
             EccFaultInfo info;
             info.kind = EccFaultKind::UnreportedSingle;
             info.lineAddr = alignDown(word_addr, kCacheLineSize);
             info.wordIndex = static_cast<int>(
                 (word_addr % kCacheLineSize) / kEccGroupSize);
             info.rawData = data;
-            info.bank = bank_id;
             if (!geometry_.isWord())
                 info.codewordAddr =
                     alignDown(word_addr, geometry_.codewordBytes);
@@ -201,7 +123,6 @@ MemoryController::decodeWord(PhysAddr word_addr, bool scrubbing,
         }
         // Correct transparently and heal the stored copy.
         stats_.add(ControllerStat::SingleBitCorrected);
-        banks_[bank_id].stats_.add(ControllerStat::SingleBitCorrected);
         SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerSingleBitCorrected,
                            clock_.now(), word_addr);
         memory_.writeWord(word_addr, result.data);
@@ -220,7 +141,6 @@ MemoryController::decodeWord(PhysAddr word_addr, bool scrubbing,
 
       case EccDecodeStatus::Uncorrectable: {
         stats_.add(ControllerStat::MultiBitDetected);
-        banks_[bank_id].stats_.add(ControllerStat::MultiBitDetected);
         EccFaultInfo info;
         info.kind = scrubbing ? EccFaultKind::ScrubMultiBit
                               : EccFaultKind::MultiBit;
@@ -228,7 +148,6 @@ MemoryController::decodeWord(PhysAddr word_addr, bool scrubbing,
         info.wordIndex = static_cast<int>(
             (word_addr % kCacheLineSize) / kEccGroupSize);
         info.rawData = data;
-        info.bank = bank_id;
         if (!geometry_.isWord())
             info.codewordAddr = alignDown(word_addr, geometry_.codewordBytes);
         raise(info);
@@ -255,21 +174,12 @@ MemoryController::edcConsistent(PhysAddr line_addr) const
     return storedLineFold(line_addr) == memory_.readEdc(line_addr);
 }
 
-void
-MemoryController::geomAdd(GeometryStat stat, unsigned bank_id,
-                          std::uint64_t delta)
-{
-    geomStats_.add(stat, delta);
-    banks_[bank_id].geomStats_.add(stat, delta);
-}
-
 bool
 MemoryController::latentDecodeWord(PhysAddr word_addr)
 {
     std::uint64_t data = memory_.readWord(word_addr);
     std::uint8_t check = memory_.readCheck(word_addr);
     EccDecodeResult result = code_.decode(data, check);
-    unsigned bank_id = bankOf(word_addr);
 
     switch (result.status) {
       case EccDecodeStatus::Ok:
@@ -283,7 +193,6 @@ MemoryController::latentDecodeWord(PhysAddr word_addr)
             // for demanded reads, and nobody demanded this word.
             return false;
         stats_.add(ControllerStat::SingleBitCorrected);
-        banks_[bank_id].stats_.add(ControllerStat::SingleBitCorrected);
         SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerSingleBitCorrected,
                            clock_.now(), word_addr);
         memory_.writeWord(word_addr, result.data);
@@ -302,7 +211,7 @@ MemoryController::latentDecodeWord(PhysAddr word_addr)
         // latent instead of raising, so a scrambled neighbour sharing
         // the codeword cannot storm the interrupt wire. It raises for
         // real the moment something actually reads its line.
-        geomAdd(GeometryStat::LatentFaultWords, bank_id);
+        geomStats_.add(GeometryStat::LatentFaultWords);
         return false;
     }
     return true;
@@ -313,24 +222,23 @@ MemoryController::blockDecode(PhysAddr line_addr, bool scrubbing,
                               LineData *out)
 {
     const PhysAddr cw = alignDown(line_addr, geometry_.codewordBytes);
-    const unsigned bank_id = bankOf(line_addr);
     const std::size_t cw_lines = geometry_.codewordBytes / kCacheLineSize;
     const std::size_t cw_words = geometry_.codewordBytes / kEccGroupSize;
 
-    geomAdd(GeometryStat::BlockDecodes, bank_id);
-    geomAdd(GeometryStat::BlockDecodeWords, bank_id, cw_words);
+    geomStats_.add(GeometryStat::BlockDecodes);
+    geomStats_.add(GeometryStat::BlockDecodeWords, cw_words);
     // The demanded line arrived with the burst already; the decode
     // fetches the rest of the codeword plus the long-code redundancy.
-    geomAdd(GeometryStat::RedundancyBytesRead, bank_id,
-            geometry_.codewordBytes - kCacheLineSize +
-                blockEccCheckBytes(geometry_.codewordBytes));
+    geomStats_.add(GeometryStat::RedundancyBytesRead,
+                   geometry_.codewordBytes - kCacheLineSize +
+                       blockEccCheckBytes(geometry_.codewordBytes));
     Cycles cost = static_cast<Cycles>(cw_words) * kBlockDecodeWordCycles;
     if (scrubbing)
         clock_.advance(cost, CostCenter::Kernel);
     else
         clock_.advance(cost);
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::EccBlockDecode, clock_.now(),
-                       line_addr, cw, bank_id);
+                       line_addr, cw);
 
     bool ok = true;
     for (std::size_t l = 0; l < cw_lines; ++l) {
@@ -360,9 +268,9 @@ MemoryController::blockDecode(PhysAddr line_addr, bool scrubbing,
             std::uint64_t fold = storedLineFold(cur);
             if (fold != memory_.readEdc(cur)) {
                 memory_.writeEdc(cur, fold);
-                geomAdd(GeometryStat::EdcRefreshes, bank_id);
-                geomAdd(GeometryStat::RedundancyBytesWritten, bank_id,
-                        edcFoldBytes(geometry_.edc));
+                geomStats_.add(GeometryStat::EdcRefreshes);
+                geomStats_.add(GeometryStat::RedundancyBytesWritten,
+                               edcFoldBytes(geometry_.edc));
             }
         }
     }
@@ -374,16 +282,14 @@ MemoryController::fillLine(PhysAddr line_addr, LineData &out)
 {
     if (!isAligned(line_addr, kCacheLineSize))
         panic("MemoryController: unaligned fill address ", line_addr);
-    unsigned bank_id = bankOf(line_addr);
     SIMCHECK_AUDIT(AuditDomain::MemoryController, "no_traffic_while_locked",
-                   !banks_[bank_id].locked_, "cache fill of line ", line_addr,
-                   " while bank ", bank_id, "'s bus is locked");
-    if (banks_[bank_id].locked_)
+                   !busLocked_, "cache fill of line ", line_addr,
+                   " while the bus is locked");
+    if (busLocked_)
         panic("MemoryController: fill while memory bus is locked");
 
     clock_.advance(kDramLineCycles);
     stats_.add(ControllerStat::LineFills);
-    banks_[bank_id].stats_.add(ControllerStat::LineFills);
 
     bool ok = true;
     if (geometry_.isWord() || mode_ == EccMode::Disabled) {
@@ -411,27 +317,27 @@ MemoryController::fillLine(PhysAddr line_addr, LineData &out)
     } else {
         // Block geometry: verify the line's EDC fold that rode in with
         // the burst; only an EDC miss pays the long-code decode.
-        geomAdd(GeometryStat::DataBytesRead, bank_id, kCacheLineSize);
-        geomAdd(GeometryStat::RedundancyBytesRead, bank_id,
-                edcFoldBytes(geometry_.edc));
+        geomStats_.add(GeometryStat::DataBytesRead, kCacheLineSize);
+        geomStats_.add(GeometryStat::RedundancyBytesRead,
+                       edcFoldBytes(geometry_.edc));
         clock_.advance(kEdcCheckCycles);
         PhysAddr cw = alignDown(line_addr, geometry_.codewordBytes);
         if (storedLineFold(line_addr) == memory_.readEdc(line_addr)) {
-            geomAdd(GeometryStat::EdcChecksPassed, bank_id);
+            geomStats_.add(GeometryStat::EdcChecksPassed);
             SAFEMEM_TRACE_EMIT(trace_, TraceEvent::EdcCheckPass,
-                               clock_.now(), line_addr, cw, bank_id);
+                               clock_.now(), line_addr, cw);
             for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
                 setLineWord(out, i,
                             memory_.readWord(line_addr + i * kEccGroupSize));
         } else {
-            geomAdd(GeometryStat::EdcChecksFailed, bank_id);
+            geomStats_.add(GeometryStat::EdcChecksFailed);
             SAFEMEM_TRACE_EMIT(trace_, TraceEvent::EdcCheckFail,
-                               clock_.now(), line_addr, cw, bank_id);
+                               clock_.now(), line_addr, cw);
             ok = blockDecode(line_addr, false, &out);
         }
     }
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerFill, clock_.now(),
-                       line_addr, ok ? 1 : 0, bank_id);
+                       line_addr, ok ? 1 : 0);
     return ok;
 }
 
@@ -440,18 +346,16 @@ MemoryController::evictLine(PhysAddr line_addr, const LineData &data)
 {
     if (!isAligned(line_addr, kCacheLineSize))
         panic("MemoryController: unaligned eviction address ", line_addr);
-    unsigned bank_id = bankOf(line_addr);
     SIMCHECK_AUDIT(AuditDomain::MemoryController, "no_traffic_while_locked",
-                   !banks_[bank_id].locked_, "cache writeback of line ",
-                   line_addr, " while bank ", bank_id, "'s bus is locked");
-    if (banks_[bank_id].locked_)
+                   !busLocked_, "cache writeback of line ", line_addr,
+                   " while the bus is locked");
+    if (busLocked_)
         panic("MemoryController: writeback while memory bus is locked");
 
     clock_.advance(kDramLineCycles);
     stats_.add(ControllerStat::LineEvictions);
-    banks_[bank_id].stats_.add(ControllerStat::LineEvictions);
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerEvict, clock_.now(),
-                       line_addr, bank_id);
+                       line_addr);
 
     for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
         PhysAddr word_addr = line_addr + i * kEccGroupSize;
@@ -473,30 +377,29 @@ MemoryController::evictLine(PhysAddr line_addr, const LineData &data)
         memory_.writeEdc(line_addr,
                          edcLineFold(geometry_.edc, words,
                                      kEccGroupsPerLine));
-        geomAdd(GeometryStat::DataBytesWritten, bank_id, kCacheLineSize);
-        geomAdd(GeometryStat::RedundancyBytesWritten, bank_id,
-                edcFoldBytes(geometry_.edc));
+        geomStats_.add(GeometryStat::DataBytesWritten, kCacheLineSize);
+        geomStats_.add(GeometryStat::RedundancyBytesWritten,
+                       edcFoldBytes(geometry_.edc));
         // The long-code ECC spans the whole codeword. A writeback that
         // opens a new codeword pays a full read-modify-write (fetch the
         // old line and redundancy, merge, rewrite); further writebacks
         // into the open codeword fold their update in incrementally —
         // the amortisation sequential streams are built to hit.
         PhysAddr cw = alignDown(line_addr, geometry_.codewordBytes);
-        MemoryBank &bank = banks_[bank_id];
-        if (bank.openCodeword_ == cw) {
-            geomAdd(GeometryStat::OpenCodewordHits, bank_id);
+        if (openCodeword_ == cw) {
+            geomStats_.add(GeometryStat::OpenCodewordHits);
             clock_.advance(kEdcUpdateCycles);
         } else {
-            geomAdd(GeometryStat::PartialWriteRmws, bank_id);
-            geomAdd(GeometryStat::RedundancyBytesRead, bank_id,
-                    kCacheLineSize +
-                        blockEccCheckBytes(geometry_.codewordBytes));
-            geomAdd(GeometryStat::RedundancyBytesWritten, bank_id,
-                    blockEccCheckBytes(geometry_.codewordBytes));
+            geomStats_.add(GeometryStat::PartialWriteRmws);
+            geomStats_.add(GeometryStat::RedundancyBytesRead,
+                           kCacheLineSize +
+                               blockEccCheckBytes(geometry_.codewordBytes));
+            geomStats_.add(GeometryStat::RedundancyBytesWritten,
+                           blockEccCheckBytes(geometry_.codewordBytes));
             clock_.advance(kPartialWriteRmwCycles);
             SAFEMEM_TRACE_EMIT(trace_, TraceEvent::PartialWriteRmw,
-                               clock_.now(), line_addr, cw, bank_id);
-            bank.openCodeword_ = cw;
+                               clock_.now(), line_addr, cw);
+            openCodeword_ = cw;
         }
     }
 
@@ -537,38 +440,6 @@ MemoryController::auditWritebackCoherence(PhysAddr line_addr,
 }
 
 void
-MemoryController::auditBankRollup() const
-{
-    constexpr std::size_t slots =
-        sizeof(kControllerStatNames) / sizeof(kControllerStatNames[0]);
-    for (std::size_t s = 0; s < slots; ++s) {
-        auto stat = static_cast<ControllerStat>(s);
-        std::uint64_t sum = 0;
-        for (const MemoryBank &bank : banks_)
-            sum += bank.stats().get(stat);
-        SIMCHECK_AUDIT(AuditDomain::MemoryController, "bank_stat_rollup",
-                       sum == stats_.get(stat),
-                       "per-bank '", kControllerStatNames[s],
-                       "' slots sum to ", sum, " but the machine-wide "
-                       "counter reads ", stats_.get(stat));
-    }
-    constexpr std::size_t geom_slots =
-        sizeof(kGeometryStatNames) / sizeof(kGeometryStatNames[0]);
-    for (std::size_t s = 0; s < geom_slots; ++s) {
-        auto stat = static_cast<GeometryStat>(s);
-        std::uint64_t sum = 0;
-        for (const MemoryBank &bank : banks_)
-            sum += bank.geometryStats().get(stat);
-        SIMCHECK_AUDIT(AuditDomain::MemoryController, "bank_stat_rollup",
-                       sum == geomStats_.get(stat),
-                       "per-bank '", kGeometryStatNames[s],
-                       "' geometry slots sum to ", sum,
-                       " but the machine-wide counter reads ",
-                       geomStats_.get(stat));
-    }
-}
-
-void
 MemoryController::writeWordDeviceOp(PhysAddr word_addr, std::uint64_t value)
 {
     memory_.writeWord(word_addr, value);
@@ -594,29 +465,21 @@ void
 MemoryController::scrubRange(PhysAddr start_line, std::size_t lines)
 {
     // The scrub engine is a bus agent like the cache: while the kernel
-    // holds a bank's bus for a scramble, scrub reads of half-written
-    // groups would race the scramble exactly like a fill would.
-    std::uint64_t span = bankMaskForSpan(start_line, lines * kCacheLineSize);
-    for (unsigned b = 0; b < banks_.size(); ++b) {
-        if (!(span >> b & 1))
-            continue;
-        SIMCHECK_AUDIT(AuditDomain::MemoryController,
-                       "no_traffic_while_locked", !banks_[b].locked_,
-                       "scrub of ", lines, " lines at ", start_line,
-                       " while bank ", b, "'s bus is locked");
-        if (banks_[b].locked_)
-            panic("MemoryController: scrub while memory bus is locked");
-    }
+    // holds the bus for a scramble, scrub reads of half-written groups
+    // would race the scramble exactly like a fill would.
+    SIMCHECK_AUDIT(AuditDomain::MemoryController, "no_traffic_while_locked",
+                   !busLocked_, "scrub of ", lines, " lines at ", start_line,
+                   " while the bus is locked");
+    if (busLocked_)
+        panic("MemoryController: scrub while memory bus is locked");
 
-    unsigned bank_id = bankOf(start_line);
     stats_.add(ControllerStat::ScrubPasses);
-    banks_[bank_id].stats_.add(ControllerStat::ScrubPasses);
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerScrubBegin, clock_.now(),
-                       start_line, lines, bank_id);
+                       start_line, lines);
     for (std::size_t l = 0; l < lines; ++l)
         scrubLine(start_line + l * kCacheLineSize);
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerScrubEnd, clock_.now(),
-                       start_line, lines, bank_id);
+                       start_line, lines);
 }
 
 void
@@ -642,41 +505,9 @@ MemoryController::scrubLine(PhysAddr line_addr)
 }
 
 void
-MemoryController::scrubBank(unsigned id)
-{
-    MemoryBank &bank = banks_.at(id);
-    SIMCHECK_AUDIT(AuditDomain::MemoryController, "no_traffic_while_locked",
-                   !bank.locked_, "scrub pass over bank ", id,
-                   " while its bus is locked");
-    if (bank.locked_)
-        panic("MemoryController: scrub while memory bus is locked");
-
-    const std::size_t stride =
-        static_cast<std::size_t>(banks_.size()) * kPageSize;
-    const PhysAddr first = static_cast<PhysAddr>(id) * kPageSize;
-    std::size_t line_count = 0;
-    for (PhysAddr page = first; page < memory_.size(); page += stride)
-        line_count += kPageSize / kCacheLineSize;
-
-    stats_.add(ControllerStat::ScrubPasses);
-    bank.stats_.add(ControllerStat::ScrubPasses);
-    SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerScrubBegin, clock_.now(),
-                       first, line_count, id);
-    for (PhysAddr page = first; page < memory_.size(); page += stride) {
-        bank.scrubCursor_ = page;
-        for (std::size_t l = 0; l < kPageSize / kCacheLineSize; ++l)
-            scrubLine(page + l * kCacheLineSize);
-    }
-    bank.scrubCursor_ = first;
-    SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerScrubEnd, clock_.now(),
-                       first, line_count, id);
-}
-
-void
 MemoryController::scrubAll()
 {
-    for (unsigned b = 0; b < banks_.size(); ++b)
-        scrubBank(b);
+    scrubRange(0, memory_.size() / kCacheLineSize);
 }
 
 } // namespace safemem

@@ -1,6 +1,6 @@
 /**
  * @file
- * The ECC memory controller (paper §2.1, Figure 1), sharded into banks.
+ * The ECC memory controller (paper §2.1, Figure 1).
  *
  * Sits between the cache and PhysicalMemory. On a line writeback it encodes
  * a check byte per 64-bit ECC group (unless ECC is Disabled, in which case
@@ -9,11 +9,9 @@
  * corrected in CorrectError modes, and uncorrectable mismatches raise an
  * interrupt on the wire registered with setInterruptHandler().
  *
- * Physical memory is page-interleaved across numBanks() MemoryBank
- * objects (bank.h). Each bank has its own lock capability and stat
- * slots; lockBus() is now the compatibility shim that locks every bank
- * in ascending order. Traffic is gated per bank: a fill of bank 2
- * proceeds while bank 0 is locked for a scramble.
+ * One memory bus serves all of DRAM. The kernel locks it around each
+ * scramble (paper §2.2.2, Figure 2); while it is held, every fill,
+ * writeback and scrub panics.
  *
  * Device-initiated accesses used by the kernel (word writes during a
  * scramble, raw line peeks) charge no cycles; the kernel bills calibrated
@@ -23,8 +21,8 @@
 
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
-#include <deque>
 
 #include "common/clock.h"
 #include "common/mutex.h"
@@ -32,7 +30,6 @@
 #include "common/types.h"
 #include "ecc/codec.h"
 #include "ecc/geometry.h"
-#include "mem/bank.h"
 #include "mem/fault.h"
 #include "mem/line.h"
 #include "mem/physical_memory.h"
@@ -40,6 +37,65 @@
 namespace safemem {
 
 class Trace;
+
+/** Slot indices into the controller StatSet; order matches the names. */
+enum class ControllerStat : std::size_t
+{
+    BusLocks,
+    InterruptsRaised,
+    SingleBitReported,
+    SingleBitCorrected,
+    MultiBitDetected,
+    LineFills,
+    LineEvictions,
+    ScrubPasses,
+};
+
+/** Report/snapshot names for ControllerStat, in enumerator order. */
+inline constexpr const char *kControllerStatNames[] = {
+    "bus_locks",          "interrupts_raised", "single_bit_reported",
+    "single_bit_corrected", "multi_bit_detected", "line_fills",
+    "line_evictions",     "scrub_passes",
+};
+
+/**
+ * Slot indices into the block-geometry StatSet; order matches
+ * kGeometryStatNames. These slots only move on block-geometry machines:
+ * the per-word SEC-DED default never touches them, and the driver only
+ * merges them into run results under a block geometry, keeping
+ * word-geometry stat maps byte-identical to the pre-geometry machine.
+ */
+enum class GeometryStat : std::size_t
+{
+    EdcChecksPassed,  ///< fills declared clean by the EDC fast path
+    EdcChecksFailed,  ///< fills that missed EDC and took the full decode
+    BlockDecodes,     ///< whole-codeword ECC decodes (one per EDC miss)
+    BlockDecodeWords, ///< words decoded across all block decodes
+    PartialWriteRmws, ///< writebacks that opened a new codeword (full RMW)
+    OpenCodewordHits, ///< writebacks folded into the open codeword
+    LatentFaultWords, ///< uncorrectable words outside the requested line
+    EdcRefreshes,     ///< stale-but-clean EDC folds rewritten
+    RedundancyBytesRead,    ///< EDC + ECC + RMW traffic read
+    RedundancyBytesWritten, ///< EDC + ECC traffic written
+    DataBytesRead,    ///< demand data read by fills
+    DataBytesWritten, ///< demand data written by evictions
+};
+
+/** Report/snapshot names for GeometryStat, in enumerator order. */
+inline constexpr const char *kGeometryStatNames[] = {
+    "edc_checks_passed",
+    "edc_checks_failed",
+    "block_decodes",
+    "block_decode_words",
+    "partial_write_rmws",
+    "open_codeword_hits",
+    "latent_fault_words",
+    "edc_refreshes",
+    "redundancy_bytes_read",
+    "redundancy_bytes_written",
+    "data_bytes_read",
+    "data_bytes_written",
+};
 
 class MemoryController
 {
@@ -49,8 +105,6 @@ class MemoryController
      *        the controller). The machine geometry requires 64 data
      *        bits and a check word that fits the DIMM's check lane;
      *        anything else panics at construction.
-     * @param banks number of interleaved banks in [1, kMaxMemoryBanks];
-     *        the DIMM must hold at least one page per bank.
      * @param geometry protection geometry of the datapath. A block
      *        geometry requires a DIMM organised with the matching EDC
      *        lane; the word default is bit-identical to the
@@ -59,7 +113,7 @@ class MemoryController
     MemoryController(PhysicalMemory &memory, CycleClock &clock,
                      Trace *trace = nullptr,
                      const EccCodec &code = defaultCodec(),
-                     unsigned banks = 1, ProtectionGeometry geometry = {});
+                     ProtectionGeometry geometry = {});
 
     /** @return the codec wired into the datapath. */
     const EccCodec &code() const { return code_; }
@@ -77,50 +131,20 @@ class MemoryController
     void setInterruptHandler(EccInterruptHandler handler);
 
     /**
-     * @name Bank geometry.
-     */
-    /// @{
-    /** @return the number of interleaved banks. */
-    unsigned numBanks() const { return static_cast<unsigned>(banks_.size()); }
-
-    /** @return the bank owning @p addr (page-granular interleave). */
-    unsigned bankOf(PhysAddr addr) const
-    {
-        return static_cast<unsigned>((addr / kPageSize) % banks_.size());
-    }
-
-    /** @return bank @p id for inspection (stats, lock state, cursor). */
-    const MemoryBank &bank(unsigned id) const;
-
-    /** @return bit mask of the banks spanned by [addr, addr+bytes). */
-    std::uint64_t bankMaskForSpan(PhysAddr addr, std::size_t bytes) const;
-    /// @}
-
-    /**
      * @name Memory-bus lock (held around scrambles, paper §2.2.2).
      *
-     * Each bank is an independently lockable bus segment: lockBank(b)
-     * stalls only traffic to bank b. lockBus()/unlockBus() remain as the
-     * whole-machine operation — they lock every bank in ascending order
-     * (and release in descending order) and still acquire/release
-     * busCapability(), so Clang's thread-safety analysis rejects
-     * double-locking and lock-leaking call paths at compile time. Prefer
-     * the RAII guards below — a panic() between a bare lock/unlock pair
-     * would otherwise unwind with a bank stuck locked.
+     * lockBus()/unlockBus() acquire and release busCapability(), so
+     * Clang's thread-safety analysis rejects double-locking and
+     * lock-leaking call paths at compile time. Prefer the RAII
+     * BusLockGuard below — a panic() between a bare lock/unlock pair
+     * would otherwise unwind with the bus stuck locked.
      */
     /// @{
-    void lockBank(unsigned id);
-    void unlockBank(unsigned id);
-    bool bankLocked(unsigned id) const;
-
     void lockBus() ACQUIRE(busCapability_);
     void unlockBus() RELEASE(busCapability_);
 
-    /** @return whether every bank is locked (the whole-bus view). */
-    bool busLocked() const;
-
-    /** @return whether any bank is locked. */
-    bool anyBankLocked() const;
+    /** @return whether the memory bus is locked. */
+    bool busLocked() const { return busLocked_; }
 
     /** The bus-lock capability, for ACQUIRE/RELEASE/REQUIRES clauses. */
     const Capability &
@@ -159,38 +183,25 @@ class MemoryController
     /**
      * Scrub @p lines cache lines starting at @p start_line: decode every
      * group, rewrite corrected singles, raise ScrubMultiBit interrupts on
-     * uncorrectable groups. Spanned banks must be unlocked.
+     * uncorrectable groups. The bus must be unlocked.
      */
     void scrubRange(PhysAddr start_line, std::size_t lines);
 
-    /**
-     * One full scrub pass over bank @p id's slice of memory: its pages
-     * in ascending address order, advancing the bank's scrub cursor.
-     * With one bank this is exactly the old whole-memory scrub pass.
-     */
-    void scrubBank(unsigned id);
-
-    /** Scrub all of physical memory, bank by bank in ascending order. */
+    /** One full scrub pass over all of physical memory, in ascending
+     *  address order. */
     void scrubAll();
 
-    /** @return machine-wide controller statistics (roll-up of banks). */
+    /** @return controller statistics. */
     const StatSet &stats() const { return stats_; }
 
-    /** @return machine-wide block-geometry statistics (roll-up of the
-     *  per-bank slices; all-zero on the word default). */
+    /** @return block-geometry statistics (all-zero on the word
+     *  default). */
     const StatSet &geometryStats() const { return geomStats_; }
 
     /** @return whether the stored EDC fold of the line at @p line_addr
      *  matches its stored data. Trivially true on the word default
      *  (no EDC lane exists). Uncharged — SimCheck audits and tests. */
     bool edcConsistent(PhysAddr line_addr) const;
-
-    /**
-     * SimCheck: every machine-wide counter must equal the sum of the
-     * per-bank slots — each stat site bumps exactly one bank alongside
-     * the roll-up (run only while auditing is enabled).
-     */
-    void auditBankRollup() const;
 
     /** @return underlying DRAM (fault injection in tests). */
     PhysicalMemory &memory() { return memory_; }
@@ -206,10 +217,6 @@ class MemoryController
     /** @return the EDC fold of the stored data of the line at
      *  @p line_addr (block geometries only). */
     std::uint64_t storedLineFold(PhysAddr line_addr) const;
-
-    /** Bump a block-geometry stat machine-wide and on @p bank_id. */
-    void geomAdd(GeometryStat stat, unsigned bank_id,
-                 std::uint64_t delta = 1);
 
     /**
      * Full long-code ECC decode of the codeword containing
@@ -247,22 +254,25 @@ class MemoryController
     CycleClock &clock_;
     const EccCodec &code_;
     EccMode mode_ = EccMode::CorrectError;
-    Capability busCapability_; ///< compile-time face of the all-banks lock
-    /** Banks hold a Capability each, so they never move; a deque
-     *  constructs them in place and leaves them put. */
-    std::deque<MemoryBank> banks_;
+    Capability busCapability_; ///< compile-time face of the bus lock
+    bool busLocked_ = false;   ///< runtime face, audited by SimCheck
     EccInterruptHandler interruptHandler_;
     Trace *trace_;
     ProtectionGeometry geometry_;
     StatSet stats_{kControllerStatNames};
     StatSet geomStats_{kGeometryStatNames};
+    /** Codeword held open in the write-combine buffer: further
+     *  writebacks into it fold their redundancy update incrementally
+     *  instead of paying the full read-modify-write (block geometry
+     *  only; ~0 = nothing open). */
+    PhysAddr openCodeword_ = ~PhysAddr{0};
 };
 
 /**
- * RAII holder of the whole memory bus (every bank). The kernel's
- * scramble and unscramble paths panic on malformed requests *while the
- * bus is locked*; unwinding through this guard releases the bus instead
- * of wedging every later lockBus() (see test_lock_discipline.cc).
+ * RAII holder of the memory bus. The kernel's scramble and unscramble
+ * paths panic on malformed requests *while the bus is locked*;
+ * unwinding through this guard releases the bus instead of wedging
+ * every later lockBus() (see test_lock_discipline.cc).
  */
 class SCOPED_CAPABILITY BusLockGuard
 {
@@ -281,61 +291,6 @@ class SCOPED_CAPABILITY BusLockGuard
 
   private:
     MemoryController &controller_;
-};
-
-/**
- * RAII holder of a single bank's lock. Bank indices are runtime values,
- * so the static analysis cannot name the capability; the SimCheck
- * pairing audit and the lock-order lint carry the discipline instead.
- */
-class BankLockGuard
-{
-  public:
-    BankLockGuard(MemoryController &controller, unsigned bank)
-        : controller_(controller), bank_(bank)
-    {
-        controller_.lockBank(bank_);
-    }
-
-    ~BankLockGuard() { controller_.unlockBank(bank_); }
-
-    BankLockGuard(const BankLockGuard &) = delete;
-    BankLockGuard &operator=(const BankLockGuard &) = delete;
-
-  private:
-    MemoryController &controller_;
-    unsigned bank_;
-};
-
-/**
- * RAII holder of a set of bank locks, given as a bit mask. Locks
- * ascending and releases descending, matching lockBus()'s whole-machine
- * order so mixed users can never deadlock in a future preemptive world.
- */
-class BankSetLockGuard
-{
-  public:
-    BankSetLockGuard(MemoryController &controller, std::uint64_t mask)
-        : controller_(controller), mask_(mask)
-    {
-        for (unsigned b = 0; b < controller_.numBanks(); ++b)
-            if (mask_ >> b & 1)
-                controller_.lockBank(b);
-    }
-
-    ~BankSetLockGuard()
-    {
-        for (unsigned b = controller_.numBanks(); b-- > 0;)
-            if (mask_ >> b & 1)
-                controller_.unlockBank(b);
-    }
-
-    BankSetLockGuard(const BankSetLockGuard &) = delete;
-    BankSetLockGuard &operator=(const BankSetLockGuard &) = delete;
-
-  private:
-    MemoryController &controller_;
-    std::uint64_t mask_;
 };
 
 } // namespace safemem

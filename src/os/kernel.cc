@@ -1,8 +1,5 @@
 #include "os/kernel.h"
 
-#include <algorithm>
-#include <array>
-#include <bitset>
 #include <cstring>
 
 #include "check/simcheck.h"
@@ -41,17 +38,12 @@ Kernel::Kernel(MemoryController &controller, Cache &cache, CycleClock &clock,
         panic("Kernel: scramble signature ", scramble_.mask(),
               " is invisible to the '", geometryName(geom),
               "' EDC fold; WatchMemory would never fault");
-    // Build the per-bank frame free lists over all of physical memory.
+    // Build the frame free list over all of physical memory.
     std::size_t frames = controller_.memory().size() / kPageSize;
-    freeFramesByBank_.resize(controller_.numBanks());
-    for (auto &list : freeFramesByBank_)
-        list.reserve(frames / controller_.numBanks() + 1);
+    freeFrames_.reserve(frames);
     // Hand out low frames first so tests see deterministic addresses.
-    for (std::size_t i = frames; i-- > 0;) {
-        PhysAddr frame = static_cast<PhysAddr>(i) * kPageSize;
-        freeFramesByBank_[controller_.bankOf(frame)].push_back(frame);
-    }
-    nextScrubByBank_.resize(controller_.numBanks(), 0);
+    for (std::size_t i = frames; i-- > 0;)
+        freeFrames_.push_back(static_cast<PhysAddr>(i) * kPageSize);
 
     // The init process exists at power-on: free (no cycles, no trace),
     // so a single-process machine boots exactly as it always has.
@@ -128,34 +120,17 @@ Kernel::process(Pid pid) const
 PhysAddr
 Kernel::allocFrame()
 {
-    // Home-bank affinity with ascending work-stealing: a process's
-    // frames come from bank pid % N while it lasts, so multi-tenant
-    // runs naturally settle into disjoint banks and the consolidated
-    // runner's per-bank hand-off has disjointness to exploit. With one
-    // bank this is exactly the old shared free list.
-    unsigned banks = controller_.numBanks();
-    unsigned home = current_->pid() % banks;
-    for (unsigned i = 0; i < banks; ++i) {
-        std::vector<PhysAddr> &list = freeFramesByBank_[(home + i) % banks];
-        if (list.empty())
-            continue;
-        PhysAddr frame = list.back();
-        list.pop_back();
-        ++current_->bankFrames_[controller_.bankOf(frame)];
-        return frame;
-    }
-    fatal("Kernel: out of physical memory");
+    if (freeFrames_.empty())
+        fatal("Kernel: out of physical memory");
+    PhysAddr frame = freeFrames_.back();
+    freeFrames_.pop_back();
+    return frame;
 }
 
 void
 Kernel::freeFrame(PhysAddr frame)
 {
-    unsigned bank = controller_.bankOf(frame);
-    if (current_->bankFrames_[bank] == 0)
-        panic("Kernel::freeFrame: pid ", current_->pid(),
-              " frees frame ", frame, " with no frames in bank ", bank);
-    --current_->bankFrames_[bank];
-    freeFramesByBank_[bank].push_back(frame);
+    freeFrames_.push_back(frame);
 }
 
 VirtAddr
@@ -271,17 +246,6 @@ Kernel::peekTranslate(VirtAddr vaddr) const
     return entry->frame + (vaddr - vpage);
 }
 
-std::uint64_t
-Kernel::bankFootprint(Pid pid) const
-{
-    const Process &proc = process(pid);
-    std::uint64_t mask = 0;
-    for (unsigned b = 0; b < controller_.numBanks(); ++b)
-        if (proc.bankFrames_[b] != 0)
-            mask |= std::uint64_t{1} << b;
-    return mask;
-}
-
 void
 Kernel::mprotectRange(VirtAddr base, std::size_t bytes, bool accessible)
 {
@@ -370,18 +334,13 @@ Kernel::watchMemory(VirtAddr addr, std::size_t size)
         plines.push_back(pline);
     }
 
-    // Figure 2, batched: lock the banks the region's frames span (each
-    // spanned bank's bus independently; untouched banks keep serving
-    // cache traffic), disable ECC, flip the 3 signature bits of every
-    // ECC group (check bytes stay stale), restore ECC, unlock.
-    std::uint64_t bank_mask = 0;
-    for (PhysAddr pline : plines)
-        bank_mask |= std::uint64_t{1} << controller_.bankOf(pline);
-    Cycles lock_count = std::bitset<64>(bank_mask).count();
-    clock_.advance(2 * lock_count * kBusLockCycles +
+    // Figure 2, batched: lock the bus, disable ECC, flip the 3
+    // signature bits of every ECC group (check bytes stay stale),
+    // restore ECC, unlock. An empty region takes no bus lock.
+    clock_.advance((plines.empty() ? 0 : 2 * kBusLockCycles) +
                    2 * kEccModeSwitchCycles);
-    {
-        BankSetLockGuard bus(controller_, bank_mask);
+    if (!plines.empty()) {
+        BusLockGuard bus(controller_);
         EccMode saved = controller_.mode();
         controller_.setMode(EccMode::Disabled);
         for (PhysAddr pline : plines) {
@@ -459,33 +418,22 @@ Kernel::disableWatchMemory(VirtAddr addr, std::size_t size)
             pageIn(vpage);
     }
 
-    // Resolve the frames up front (uncharged re-walks; the charged
-    // walks happened in the page loop above) so the spanned banks are
-    // known before their buses are taken.
-    std::vector<PhysAddr> plines;
-    plines.reserve(size / kCacheLineSize);
-    std::uint64_t bank_mask = 0;
-    for (std::size_t off = 0; off < size; off += kCacheLineSize) {
-        VirtAddr vline = addr + off;
-        VirtAddr vpage = alignDown(vline, kPageSize);
-        PhysAddr pline =
-            space.pageTable.find(vpage)->frame + (vline - vpage);
-        plines.push_back(pline);
-        bank_mask |= std::uint64_t{1} << controller_.bankOf(pline);
-    }
-
     // The scramble mask is its own inverse, and rewriting with ECC
     // enabled regenerates matching check bytes, clearing the watch.
-    // The not-watched panic below unwinds *while the banks are locked*,
-    // so the locks must be RAII-held or they stay wedged for the next
-    // caller (regression: test_lock_discipline.cc).
-    Cycles lock_count = std::bitset<64>(bank_mask).count();
-    clock_.advance(2 * lock_count * kBusLockCycles);
-    {
-        BankSetLockGuard bus(controller_, bank_mask);
+    // The not-watched panic below unwinds *while the bus is locked*,
+    // so the lock must be RAII-held or it stays wedged for the next
+    // caller (regression: test_lock_discipline.cc). An empty region
+    // takes no bus lock.
+    clock_.advance(size == 0 ? 0 : 2 * kBusLockCycles);
+    if (size != 0) {
+        BusLockGuard bus(controller_);
         for (std::size_t off = 0; off < size; off += kCacheLineSize) {
+            // Uncharged re-walk: the charged walks happened in the page
+            // loop above.
             VirtAddr vline = addr + off;
-            PhysAddr pline = plines[off / kCacheLineSize];
+            VirtAddr vpage = alignDown(vline, kPageSize);
+            PhysAddr pline =
+                space.pageTable.find(vpage)->frame + (vline - vpage);
             auto it = proc.watched_.find(pline);
             if (it == proc.watched_.end())
                 panic("DisableWatchMemory: line ", vline, " not watched");
@@ -595,7 +543,6 @@ Kernel::onEccInterrupt(const EccFaultInfo &info)
     fault.kind = info.kind;
     fault.rawData = info.rawData;
     fault.isWrite = current_->lastAccessWrite_;
-    fault.bank = info.bank;
 
     // Dispatch in the owner's context so the handler's repair/unwatch
     // syscalls act on the owner's address space, then restore whoever
@@ -634,7 +581,6 @@ Kernel::enableScrubbing(Cycles period)
 {
     scrubEnabled_ = true;
     scrubPeriod_ = period;
-    nextScrubByBank_.assign(controller_.numBanks(), clock_.now() + period);
     nextScrubDue_ = clock_.now() + period;
     controller_.setMode(EccMode::CorrectAndScrub);
 }
@@ -648,8 +594,8 @@ Kernel::disableScrubbing()
 }
 
 void
-Kernel::setScrubHooks(std::function<void(unsigned)> pre,
-                      std::function<void(unsigned)> post)
+Kernel::setScrubHooks(std::function<void()> pre,
+                      std::function<void()> post)
 {
     current_->preScrubHook_ = std::move(pre);
     current_->postScrubHook_ = std::move(post);
@@ -662,41 +608,33 @@ Kernel::tick()
     // the guard keeps a scrub pass from recursing into itself.
     if (!scrubEnabled_ || inScrub_ || clock_.now() < nextScrubDue_)
         return;
-    for (unsigned b = 0; b < controller_.numBanks(); ++b) {
-        if (clock_.now() < nextScrubByBank_[b])
+    inScrub_ = true;
+    stats_.add(KernelStat::ScrubPasses);
+    SAFEMEM_TRACE_EMIT(trace_, TraceEvent::KernelScrubTickBegin,
+                       clock_.now());
+    // One scrubber, many watch sets: every process's pre-hook parks its
+    // watches (in its own context), the pass runs, every post-hook
+    // restores. Zombies included — a leak left watched by an exited
+    // process must still be parked or the scrub would fault on it.
+    Process *running = current_;
+    for (const auto &proc : processes_) {
+        if (!proc->preScrubHook_)
             continue;
-        inScrub_ = true;
-        stats_.add(KernelStat::ScrubPasses);
-        SAFEMEM_TRACE_EMIT(trace_, TraceEvent::KernelScrubTickBegin,
-                           clock_.now(), b);
-        // One scrubber per bank, many watch sets: every process's
-        // pre-hook parks the watches that bank holds (in its own
-        // context), the bank's pass runs, every post-hook restores.
-        // Zombies included — a leak left watched by an exited process
-        // must still be parked or the scrub would fault on it.
-        Process *running = current_;
-        for (const auto &proc : processes_) {
-            if (!proc->preScrubHook_)
-                continue;
-            switchTo(*proc);
-            proc->preScrubHook_(b);
-        }
-        switchTo(*running);
-        controller_.scrubBank(b);
-        for (const auto &proc : processes_) {
-            if (!proc->postScrubHook_)
-                continue;
-            switchTo(*proc);
-            proc->postScrubHook_(b);
-        }
-        switchTo(*running);
-        nextScrubByBank_[b] = clock_.now() + scrubPeriod_;
-        SAFEMEM_TRACE_EMIT(trace_, TraceEvent::KernelScrubTickEnd,
-                           clock_.now(), b);
-        inScrub_ = false;
+        switchTo(*proc);
+        proc->preScrubHook_();
     }
-    nextScrubDue_ = *std::min_element(nextScrubByBank_.begin(),
-                                      nextScrubByBank_.end());
+    switchTo(*running);
+    controller_.scrubAll();
+    for (const auto &proc : processes_) {
+        if (!proc->postScrubHook_)
+            continue;
+        switchTo(*proc);
+        proc->postScrubHook_();
+    }
+    switchTo(*running);
+    nextScrubDue_ = clock_.now() + scrubPeriod_;
+    SAFEMEM_TRACE_EMIT(trace_, TraceEvent::KernelScrubTickEnd, clock_.now());
+    inScrub_ = false;
 }
 
 void
@@ -836,32 +774,17 @@ Kernel::auditInvariants() const
         });
 
         // A frame backs at most one page of one process — address spaces
-        // never share memory. Tally the per-bank residency as we go to
-        // reconcile the incremental bankFrames_ counters below.
-        std::array<std::uint32_t, kMaxMemoryBanks> per_bank{};
+        // never share memory.
         space.pageTable.forEach([&](VirtAddr vpage,
                                     const PageTableEntry &entry) {
             if (!entry.present)
                 return;
-            ++per_bank[controller_.bankOf(entry.frame)];
             auto [it, fresh] = owned.emplace(entry.frame, proc->pid());
             SIMCHECK_AUDIT(AuditDomain::Kernel, "frame_exclusive", fresh,
                            "frame ", entry.frame, " mapped by pid ",
                            proc->pid(), " and pid ", it->second,
                            " (vpage ", vpage, ")");
         });
-
-        // The frame allocator's incremental per-bank counts (the O(1)
-        // source of the consolidated runner's disjointness test) must
-        // agree with a fresh page-table recount.
-        for (unsigned b = 0; b < controller_.numBanks(); ++b) {
-            SIMCHECK_AUDIT(AuditDomain::Kernel, "bank_frame_accounting",
-                           per_bank[b] == proc->bankFrames_[b], "pid ",
-                           proc->pid(), " holds ", per_bank[b],
-                           " resident frames in bank ", b,
-                           " but the incremental counter reads ",
-                           proc->bankFrames_[b]);
-        }
 
         // Watch bookkeeping must reconcile with the per-process syscall
         // history: every watched line entered through WatchMemory and
@@ -913,23 +836,13 @@ Kernel::auditInvariants() const
                    stats_.get(KernelStat::LinesWatched), " - ",
                    stats_.get(KernelStat::LinesUnwatched));
 
-    // Frame allocator: a frame on a free list must not back any page of
-    // any process, and must be filed under the bank that owns it.
-    for (unsigned b = 0; b < controller_.numBanks(); ++b) {
-        for (PhysAddr frame : freeFramesByBank_[b]) {
-            SIMCHECK_AUDIT(AuditDomain::Kernel, "free_frame_unmapped",
-                           owned.find(frame) == owned.end(),
-                           "free frame ", frame, " still maps a page");
-            SIMCHECK_AUDIT(AuditDomain::Kernel, "free_frame_bank_home",
-                           controller_.bankOf(frame) == b, "free frame ",
-                           frame, " of bank ", controller_.bankOf(frame),
-                           " filed under bank ", b);
-        }
+    // Frame allocator: a frame on the free list must not back any page
+    // of any process.
+    for (PhysAddr frame : freeFrames_) {
+        SIMCHECK_AUDIT(AuditDomain::Kernel, "free_frame_unmapped",
+                       owned.find(frame) == owned.end(),
+                       "free frame ", frame, " still maps a page");
     }
-
-    // The controller's machine-wide stats must stay the exact roll-up
-    // of its per-bank slots.
-    controller_.auditBankRollup();
 }
 
 } // namespace safemem

@@ -120,8 +120,8 @@ class Kernel
 
     /**
      * Pure page-table lookup for the current process: no cycle charge,
-     * no TLB traffic, no page-in, no SIGSEGV. The watch manager uses
-     * this to compute which banks a watched region's frames span.
+     * no TLB traffic, no page-in, no SIGSEGV (tests and the tradeoff
+     * bench use it to find the frame behind an address).
      * @return nothing when the page is unmapped or swapped out.
      */
     std::optional<PhysAddr> peekTranslate(VirtAddr vaddr) const;
@@ -201,15 +201,13 @@ class Kernel
     /** Disable periodic scrubbing. */
     void disableScrubbing();
 
-    /** Hooks run immediately before/after each per-bank scrub pass,
-     *  registered by (and dispatched in the context of) the current
-     *  process; the argument is the bank being scrubbed. */
-    void setScrubHooks(std::function<void(unsigned)> pre,
-                       std::function<void(unsigned)> post);
+    /** Hooks run immediately before/after each scrub pass, registered
+     *  by (and dispatched in the context of) the current process. */
+    void setScrubHooks(std::function<void()> pre,
+                       std::function<void()> post);
 
-    /** Run the due banks' scrub passes now; called from the machine
-     *  loop. Each bank keeps its own deadline, parked and restored
-     *  independently (park(b) → scrubBank(b) → restore(b)). */
+    /** Run the scrub pass now if it is due (park → scrubAll →
+     *  restore); called from the machine loop. */
     void tick();
     /// @}
 
@@ -262,10 +260,6 @@ class Kernel
      *  machine-global events like scrub passes). */
     const StatSet &stats() const { return stats_; }
 
-    /** @return bit mask of the banks in which process @p pid currently
-     *  holds resident frames (O(banks), from incremental counts). */
-    std::uint64_t bankFootprint(Pid pid) const;
-
     /** @return the current process's page table (inspection in tests;
      *  code outside src/os/ goes through the Process seam instead). */
     const PageTable &pageTable() const
@@ -311,18 +305,14 @@ class Kernel
     std::vector<std::unique_ptr<Process>> processes_;
     Process *current_ = nullptr;
 
-    /** Frame free lists, one per memory bank — frames are a shared
-     *  machine resource, handed out with home-bank affinity (pid % N)
-     *  and ascending work-stealing when the home bank runs dry. */
-    std::vector<std::vector<PhysAddr>> freeFramesByBank_;
+    /** Frame free list — frames are a shared machine resource, handed
+     *  out from the back. */
+    std::vector<PhysAddr> freeFrames_;
 
     bool scrubEnabled_ = false;
     bool inScrub_ = false;
     bool inInterrupt_ = false;
     Cycles scrubPeriod_ = 0;
-    /** Per-bank scrub deadlines plus their cached minimum (the tick()
-     *  fast-path check). */
-    std::vector<Cycles> nextScrubByBank_;
     Cycles nextScrubDue_ = 0;
 
     bool panicOnHardwareError_ = true;

@@ -14,14 +14,16 @@ namespace safemem {
 Machine::Machine(MachineConfig config)
     : config_(config)
 {
+    if (config_.banks != 1)
+        panic("Machine: MachineConfig::banks is ", config_.banks,
+              "; the machine has one memory bus");
     if (config_.simCheck)
         SimCheck::instance().setEnabled(true);
     memory_ = std::make_unique<PhysicalMemory>(config_.memoryBytes, 8,
                                                config_.geometry);
     controller_ = std::make_unique<MemoryController>(
         *memory_, clock_, config_.trace,
-        config_.codec ? *config_.codec : defaultCodec(), config_.banks,
-        config_.geometry);
+        config_.codec ? *config_.codec : defaultCodec(), config_.geometry);
     cache_ = std::make_unique<Cache>(*controller_, clock_, config_.cache,
                                      config_.trace);
     kernel_ = std::make_unique<Kernel>(*controller_, *cache_, clock_,

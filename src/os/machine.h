@@ -71,19 +71,18 @@ struct MachineConfig
      */
     Trace *trace = nullptr;
     /**
-     * Number of independently lockable memory banks, page-interleaved
-     * over the DRAM (in [1, kMaxMemoryBanks]; the pool must hold at
-     * least one page per bank). One bank is the original single-bus
-     * chipset, bit-identical to the pre-bank machine. (Last on purpose:
-     * the positional {bytes, cache, tick} initializers predate it.)
+     * Deprecated; must stay 1, or the Machine panics. The machine has
+     * one memory bus. This field exists only because
+     * perfbench/traced.cc assigns RunParams::banks to it; both go with
+     * that line in the next benchmark change.
      */
     std::uint32_t banks = 1;
     /**
      * Protection geometry of the DIMM + controller datapath: the
      * per-word SEC-DED default, or a large-codeword EDC+ECC split
      * (geometry.h). The default constructs nothing new and is
-     * bit-identical to the pre-geometry machine. (Kept after `banks`
-     * for the same positional-initializer reason.)
+     * bit-identical to the pre-geometry machine. (Last on purpose: the
+     * positional {bytes, cache, tick} initializers predate it.)
      */
     ProtectionGeometry geometry{};
 };

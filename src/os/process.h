@@ -20,7 +20,6 @@
 
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <functional>
 #include <unordered_map>
@@ -29,7 +28,6 @@
 #include "common/clock.h"
 #include "common/stats.h"
 #include "common/types.h"
-#include "mem/bank.h"
 #include "mem/fault.h"
 #include "os/page_table.h"
 #include "os/tlb.h"
@@ -49,8 +47,6 @@ struct UserEccFault
     std::uint64_t rawData = 0;
     /** The faulting instruction was a store (its RFO fill faulted). */
     bool isWrite = false;
-    /** Memory bank owning the faulting line (page-interleaved). */
-    unsigned bank = 0;
 };
 
 /** How the kernel reconciles ECC watches with page swapping. */
@@ -173,13 +169,6 @@ class Process
     /** @return number of lines this process currently watches. */
     std::size_t watchedLineCount() const { return watched_.size(); }
 
-    /** @return number of resident frames this process holds in @p bank
-     *  (maintained incrementally by the kernel's frame allocator). */
-    std::uint32_t bankFrameCount(unsigned bank) const
-    {
-        return bankFrames_[bank];
-    }
-
   private:
     friend class Kernel;
 
@@ -215,15 +204,9 @@ class Process
     SwapWatchPolicy swapPolicy_ = SwapWatchPolicy::PinPages;
     std::function<void(VirtAddr)> preSwapOutHook_;
     std::function<void(VirtAddr)> postSwapInHook_;
-    /** Scrub coordination hooks; the argument is the bank being
-     *  scrubbed, so a process parks only the watches that bank holds. */
-    std::function<void(unsigned)> preScrubHook_;
-    std::function<void(unsigned)> postScrubHook_;
-
-    /** Resident frames per memory bank — the process's bank footprint,
-     *  kept current by Kernel::allocFrame()/freeFrame() so the
-     *  consolidated runner's disjointness test is O(banks). */
-    std::array<std::uint32_t, kMaxMemoryBanks> bankFrames_{};
+    /** Scrub coordination hooks, run around each scrub pass. */
+    std::function<void()> preScrubHook_;
+    std::function<void()> postScrubHook_;
 
     StatSet stats_{kKernelStatNames};
 };

@@ -23,37 +23,28 @@ void
 EccWatchManager::installScrubHooks()
 {
     machine_.kernel().setScrubHooks(
-        [this](unsigned bank) { scrubHookPark(bank); },
-        [this](unsigned bank) { scrubHookRestore(bank); });
+        [this] { scrubHookPark(); }, [this] { scrubHookRestore(); });
 }
 
 void
-EccWatchManager::parkAllForScrub(unsigned bank)
+EccWatchManager::parkAllForScrub()
 {
-    // Per-bank pairing discipline: the kernel runs park(b) → scrub(b) →
-    // restore(b) strictly nested, so no region parked by bank b may
-    // still be waiting when b parks again.
-    if (simCheckActive()) {
-        for (const ScrubParkedRegion &parked : scrubParked_) {
-            SIMCHECK_AUDIT(AuditDomain::Kernel, "scrub_park_pairing",
-                           parked.bank != bank, "bank ", bank,
-                           " parks again while region ",
-                           parked.region.base,
-                           " from its previous pass awaits restore");
-        }
-    }
-    // Lift every watch the scrubbed bank backs so its scrubber sees
-    // clean lines (paper §2.2.2: SafeMem temporarily unmonitors watched
-    // regions and blocks the program until scrubbing finishes). Regions
-    // wholly in other banks stay live — that is the point of banking.
+    // Pairing discipline: the kernel runs park → scrub → restore
+    // strictly nested, so no region may still await restore from an
+    // earlier pass when the next one parks.
+    SIMCHECK_AUDIT(AuditDomain::Kernel, "scrub_park_pairing",
+                   scrubParked_.empty(), "scrub park while region ",
+                   scrubParked_.front().base,
+                   " from the previous pass awaits restore");
+    // Lift every watch so the scrubber sees clean lines (paper §2.2.2:
+    // SafeMem temporarily unmonitors watched regions and blocks the
+    // program until scrubbing finishes).
     std::vector<VirtAddr> bases;
-    for (const auto &[base, region] : regions_) {
-        if (region.bankMask >> bank & 1)
-            bases.push_back(base);
-    }
+    for (const auto &[base, region] : regions_)
+        bases.push_back(base);
     for (VirtAddr base : bases) {
         auto it = regions_.find(base);
-        scrubParked_.push_back(ScrubParkedRegion{it->second, bank});
+        scrubParked_.push_back(it->second);
         SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchScrubPark,
                            machine_.clock().now(), it->second.base,
                            it->second.size);
@@ -63,21 +54,13 @@ EccWatchManager::parkAllForScrub(unsigned bank)
 }
 
 void
-EccWatchManager::restoreAfterScrub(unsigned bank)
+EccWatchManager::restoreAfterScrub()
 {
-    // Detach this bank's parked regions first — watch() consults the
-    // parking list for overlaps, so restoring in place would see each
-    // region as overlapping itself. Entries parked by other banks'
-    // in-flight passes stay parked.
-    std::vector<Region> restore;
-    std::vector<ScrubParkedRegion> keep;
-    for (ScrubParkedRegion &parked : scrubParked_) {
-        if (parked.bank == bank)
-            restore.push_back(std::move(parked.region));
-        else
-            keep.push_back(std::move(parked));
-    }
-    scrubParked_ = std::move(keep);
+    // Detach the parked regions first — watch() consults the parking
+    // list for overlaps, so restoring in place would see each region
+    // as overlapping itself.
+    std::vector<Region> restore = std::move(scrubParked_);
+    scrubParked_.clear();
     for (const Region &region : restore) {
         SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchScrubRestore,
                            machine_.clock().now(), region.base, region.size);
@@ -160,11 +143,10 @@ EccWatchManager::watch(VirtAddr base, std::size_t size, WatchKind kind,
     // Scrub-parked regions are just as logically watched as swap-parked
     // ones: they come back the moment the scrub pass finishes, so
     // letting a new watch overlap one would double-watch on restore.
-    for (const ScrubParkedRegion &parked : scrubParked_) {
-        if (base < parked.region.base + parked.region.size &&
-            parked.region.base < base + size)
+    for (const Region &parked : scrubParked_) {
+        if (base < parked.base + parked.size && parked.base < base + size)
             panic("EccWatchManager: region ", base,
-                  " overlaps a scrub-parked watch at ", parked.region.base);
+                  " overlaps a scrub-parked watch at ", parked.base);
     }
 
     Region region;
@@ -179,20 +161,6 @@ EccWatchManager::watch(VirtAddr base, std::size_t size, WatchKind kind,
     machine_.read(base, region.originalWords.data(), size);
 
     machine_.kernel().watchMemory(base, size);
-
-    // Record which banks back the region's frames (resident and pinned
-    // now that the kernel watch is in): only those banks' scrub passes
-    // ever park this region.
-    region.bankMask = 0;
-    MemoryController &controller = machine_.controller();
-    for (VirtAddr vpage = alignDown(base, kPageSize); vpage < base + size;
-         vpage += kPageSize) {
-        if (auto paddr = machine_.kernel().peekTranslate(vpage))
-            region.bankMask |= std::uint64_t{1} << controller.bankOf(*paddr);
-    }
-    if (region.bankMask == 0)
-        panic("EccWatchManager: region ", base,
-              " has no resident frames after watchMemory");
 
     for (std::size_t off = 0; off < size; off += kCacheLineSize)
         lineToRegion_[base + off] = base;
@@ -242,7 +210,7 @@ EccWatchManager::unwatch(VirtAddr base)
     }
     for (auto parked = scrubParked_.begin(); parked != scrubParked_.end();
          ++parked) {
-        if (parked->region.base == base) {
+        if (parked->base == base) {
             SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchScrubCancel,
                                machine_.clock().now(), base);
             scrubParked_.erase(parked);
@@ -262,8 +230,8 @@ EccWatchManager::isWatched(VirtAddr base) const
         if (region.base == base)
             return true;
     }
-    for (const ScrubParkedRegion &parked : scrubParked_) {
-        if (parked.region.base == base)
+    for (const Region &region : scrubParked_) {
+        if (region.base == base)
             return true;
     }
     return false;

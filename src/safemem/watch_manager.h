@@ -73,27 +73,23 @@ class EccWatchManager : public WatchBackend
     void installScrubHooks();
 
     /**
-     * Lift every watch whose frames @p bank holds ahead of that bank's
-     * scrub pass, parking the regions for restoreAfterScrub() (paper
-     * §2.2.2 "Dealing with ECC Memory Scrubbing"). Scrubbing is
-     * per-bank, and so is parking: regions wholly in other banks stay
-     * live, and a region spanning the scrubbed bank parks whole (its
-     * kernel unwatch is all-or-nothing). Parked regions stay logically
-     * watched: isWatched() reports them, unwatch() cancels them, and
-     * watch() refuses overlaps with them — exactly like swap-parked
-     * regions.
+     * Lift every watch ahead of a scrub pass, parking the regions for
+     * restoreAfterScrub() (paper §2.2.2 "Dealing with ECC Memory
+     * Scrubbing"). Parked regions stay logically watched: isWatched()
+     * reports them, unwatch() cancels them, and watch() refuses
+     * overlaps with them — exactly like swap-parked regions.
      *
-     * Park/restore is a simulated lock on the watch set, and PR 4 fixed
-     * real double-park/lost-restore bugs here — so it is annotated as a
-     * capability: any call path Clang can see that parks twice, or
-     * restores without parking, is a compile error. Per-bank pairing
-     * (park(b) must not nest inside an unfinished park(b)) is audited
-     * at runtime by SimCheck.
+     * Park/restore is a simulated lock on the watch set, and earlier
+     * double-park/lost-restore bugs lived here — so it is annotated as
+     * a capability: any call path Clang can see that parks twice, or
+     * restores without parking, is a compile error. The pairing across
+     * the kernel's separate hooks (no park while an earlier park awaits
+     * restore) is audited at runtime by SimCheck.
      */
-    void parkAllForScrub(unsigned bank) ACQUIRE(scrubPark_);
+    void parkAllForScrub() ACQUIRE(scrubPark_);
 
-    /** Re-establish every region parked by parkAllForScrub(@p bank). */
-    void restoreAfterScrub(unsigned bank) RELEASE(scrubPark_);
+    /** Re-establish every region parked by parkAllForScrub(). */
+    void restoreAfterScrub() RELEASE(scrubPark_);
 
     /**
      * Register swap hooks for the kernel's UnwatchRewatch policy
@@ -132,17 +128,6 @@ class EccWatchManager : public WatchBackend
         std::uint64_t cookie = 0;
         /** Private copy of the original data (one word per ECC group). */
         std::vector<std::uint64_t> originalWords;
-        /** Banks backing the region's frames at watch() time — the
-         *  banks whose scrub passes must park this region. */
-        std::uint64_t bankMask = 1;
-    };
-
-    /** A region lifted for a scrub pass, tagged with the bank whose
-     *  pass parked it (its restore key). */
-    struct ScrubParkedRegion
-    {
-        Region region;
-        unsigned bank = 0;
     };
 
     /** Remove @p region's kernel watches and bookkeeping. */
@@ -157,13 +142,10 @@ class EccWatchManager : public WatchBackend
      * tests and audited at runtime by SimCheck).
      */
     /// @{
-    void scrubHookPark(unsigned bank) NO_THREAD_SAFETY_ANALYSIS
+    void scrubHookPark() NO_THREAD_SAFETY_ANALYSIS { parkAllForScrub(); }
+    void scrubHookRestore() NO_THREAD_SAFETY_ANALYSIS
     {
-        parkAllForScrub(bank);
-    }
-    void scrubHookRestore(unsigned bank) NO_THREAD_SAFETY_ANALYSIS
-    {
-        restoreAfterScrub(bank);
+        restoreAfterScrub();
     }
     /// @}
 
@@ -184,8 +166,8 @@ class EccWatchManager : public WatchBackend
 
     /** Compile-time face of the park/restore pairing discipline. */
     Capability scrubPark_;
-    /** Regions temporarily lifted for a bank's scrub pass. */
-    std::vector<ScrubParkedRegion> scrubParked_;
+    /** Regions temporarily lifted for a scrub pass. */
+    std::vector<Region> scrubParked_;
     /** Regions parked while their page is swapped out. */
     std::vector<Region> swapParked_;
 

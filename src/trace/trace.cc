@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <istream>
-#include <map>
 #include <ostream>
 #include <sstream>
 
@@ -84,30 +83,6 @@ traceEventName(TraceEvent event)
     if (index >= static_cast<std::size_t>(TraceEvent::NumEvents))
         return "?";
     return kTraceEventNames[index];
-}
-
-int
-traceEventBankPayload(TraceEvent event)
-{
-    switch (event) {
-    case TraceEvent::ControllerBusLock:
-    case TraceEvent::ControllerBusUnlock:
-    case TraceEvent::KernelScrubTickBegin:
-    case TraceEvent::KernelScrubTickEnd:
-        return 0;
-    case TraceEvent::ControllerEvict:
-        return 1;
-    case TraceEvent::ControllerFill:
-    case TraceEvent::ControllerScrubBegin:
-    case TraceEvent::ControllerScrubEnd:
-    case TraceEvent::EdcCheckPass:
-    case TraceEvent::EdcCheckFail:
-    case TraceEvent::EccBlockDecode:
-    case TraceEvent::PartialWriteRmw:
-        return 2;
-    default:
-        return -1;
-    }
 }
 
 Trace::Trace(std::size_t capacity)
@@ -215,9 +190,10 @@ readTraceSections(std::istream &is)
         std::uint64_t count = 0;
         if (!is || !getScalar(is, section.emitted) ||
             !getScalar(is, section.capacity) || !getScalar(is, count) ||
-            count > section.capacity)
+            count > section.capacity || count > section.emitted)
             throw FatalError("trace: corrupt section header");
-        section.records.reserve(static_cast<std::size_t>(count));
+        // No reserve(count): a corrupt header could claim terabytes. The
+        // record loop below hits end-of-stream long before that.
         for (std::uint64_t i = 0; i < count; ++i) {
             TraceRecord rec;
             std::uint16_t event = 0;
@@ -245,16 +221,7 @@ traceRecordJsonLine(const TraceSection &section, std::size_t index)
     out << "{\"run\":\"" << jsonEscape(section.label) << "\",\"seq\":" << seq
         << ",\"cycle\":" << rec.cycle << ",\"pid\":" << rec.pid
         << ",\"event\":\"" << traceEventName(rec.event) << "\",\"a\":" << rec.a
-        << ",\"b\":" << rec.b << ",\"c\":" << rec.c;
-    // Decode the bank payload word for bank-carrying events, so readers
-    // need not know which of a/b/c holds it per event.
-    int bank_word = traceEventBankPayload(rec.event);
-    if (bank_word >= 0) {
-        std::uint64_t bank =
-            bank_word == 0 ? rec.a : bank_word == 1 ? rec.b : rec.c;
-        out << ",\"bank\":" << bank;
-    }
-    out << "}";
+        << ",\"b\":" << rec.b << ",\"c\":" << rec.c << "}";
     return out.str();
 }
 
@@ -266,7 +233,6 @@ traceSectionSummaryJson(const TraceSection &section)
     // sections saw interrupts, switches or scrub traffic.
     std::uint64_t counts[static_cast<std::size_t>(TraceEvent::NumEvents)] =
         {};
-    std::map<std::uint64_t, std::uint64_t> bank_counts;
     Cycles first = 0;
     Cycles last = 0;
     for (std::size_t i = 0; i < section.records.size(); ++i) {
@@ -274,11 +240,6 @@ traceSectionSummaryJson(const TraceSection &section)
         auto index = static_cast<std::size_t>(rec.event);
         if (index < static_cast<std::size_t>(TraceEvent::NumEvents))
             ++counts[index];
-        int bank_word = traceEventBankPayload(rec.event);
-        if (bank_word >= 0)
-            ++bank_counts[bank_word == 0   ? rec.a
-                          : bank_word == 1 ? rec.b
-                                           : rec.c];
         if (i == 0)
             first = rec.cycle;
         last = rec.cycle;
@@ -297,14 +258,6 @@ traceSectionSummaryJson(const TraceSection &section)
         if (comma)
             out << ",";
         out << "\"" << kTraceEventNames[i] << "\":" << counts[i];
-        comma = true;
-    }
-    out << "},\"bank_events\":{";
-    comma = false;
-    for (const auto &[bank, count] : bank_counts) {
-        if (comma)
-            out << ",";
-        out << "\"" << bank << "\":" << count;
         comma = true;
     }
     out << "}}";

@@ -37,18 +37,16 @@ namespace safemem {
 /** Every recorded event kind; payload word meaning is per-event. */
 enum class TraceEvent : std::uint16_t
 {
-    /** @name Memory controller (a = line/word address unless noted;
-     *  bank-carrying payload words are 0 on a one-bank machine, so
-     *  single-bank traces are byte-identical to pre-bank ones) */
+    /** @name Memory controller (a = line/word address unless noted) */
     /// @{
-    ControllerBusLock,            ///< a=bank locked for a scramble
-    ControllerBusUnlock,          ///< a=bank released
+    ControllerBusLock,            ///< bus locked for a scramble
+    ControllerBusUnlock,          ///< bus released
     ControllerInterrupt,          ///< a=line, b=word index, c=fault kind
     ControllerSingleBitCorrected, ///< a=word address healed in place
-    ControllerFill,               ///< a=line, b=1 clean / 0 faulted, c=bank
-    ControllerEvict,              ///< a=line written back, b=bank
-    ControllerScrubBegin,         ///< a=first line, b=line count, c=bank
-    ControllerScrubEnd,           ///< a=first line, b=line count, c=bank
+    ControllerFill,               ///< a=line, b=1 clean / 0 faulted
+    ControllerEvict,              ///< a=line written back
+    ControllerScrubBegin,         ///< a=first line, b=line count
+    ControllerScrubEnd,           ///< a=first line, b=line count
     /// @}
 
     /** @name Cache (sampled; every Cache::kTraceSampleInterval-th) */
@@ -67,8 +65,8 @@ enum class TraceEvent : std::uint16_t
     KernelPanicHardwareError, ///< a=phys line; panic follows
     KernelSwapOut,            ///< a=vpage
     KernelSwapIn,             ///< a=vpage, b=fresh frame
-    KernelScrubTickBegin,     ///< a=bank whose scrub pass is entered
-    KernelScrubTickEnd,       ///< a=bank whose scrub pass is left
+    KernelScrubTickBegin,     ///< scrub pass entered
+    KernelScrubTickEnd,       ///< scrub pass left
     /// @}
 
     /** @name ECC watch manager (a = region base unless noted) */
@@ -106,10 +104,10 @@ enum class TraceEvent : std::uint16_t
     /** @name Block protection geometry (large-codeword EDC+ECC).
      *  Emitted only on block-geometry machines. */
     /// @{
-    EdcCheckPass,    ///< a=line, b=codeword base, c=bank
-    EdcCheckFail,    ///< a=line, b=codeword base, c=bank
-    EccBlockDecode,  ///< a=demanded line, b=codeword base, c=bank
-    PartialWriteRmw, ///< a=written line, b=codeword opened, c=bank
+    EdcCheckPass,    ///< a=line, b=codeword base
+    EdcCheckFail,    ///< a=line, b=codeword base
+    EccBlockDecode,  ///< a=demanded line, b=codeword base
+    PartialWriteRmw, ///< a=written line, b=codeword opened
     /// @}
 
     NumEvents
@@ -168,14 +166,6 @@ static_assert(sizeof(kTraceEventNames) / sizeof(kTraceEventNames[0]) ==
 
 /** @return the export name of @p event ("?" out of range). */
 const char *traceEventName(TraceEvent event);
-
-/**
- * @return which payload word (0 = a, 1 = b, 2 = c) of @p event carries
- * a memory-bank id, or -1 when the event carries none. Backs the
- * trace_dump decoding of the bank payload word and the per-bank counts
- * in --summary output.
- */
-int traceEventBankPayload(TraceEvent event);
 
 /** One recorded event: ID + timestamp + raw payload words. */
 struct TraceRecord
@@ -317,7 +307,8 @@ void writeTraceSection(std::ostream &os, const Trace &trace,
 
 /**
  * Read every section of a trace file produced by writeTraceSection().
- * Throws FatalError on a malformed or truncated stream.
+ * Throws FatalError on a malformed or truncated stream; header counts
+ * are never trusted to size an allocation.
  */
 std::vector<TraceSection> readTraceSections(std::istream &is);
 

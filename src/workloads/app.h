@@ -42,16 +42,16 @@ struct RunParams
      */
     EccCodecSpec codec;
     /**
-     * Memory banks the run's machine is built with (MachineConfig::banks).
-     * Part of the run identity like seed/codec: same spec, same
-     * RunResult. 1 (the default) is the original single-bus chipset and
-     * reproduces the pre-bank results bit for bit.
+     * Deprecated; must stay 1. The machine has one memory bus. This
+     * field exists only because perfbench/traced.cc copies it into
+     * MachineConfig::banks; both go with that line in the next
+     * benchmark change. Nothing in src/ reads it.
      */
     std::uint32_t banks = 1;
     /**
      * SampledSafeMem (ToolKind::SafeMemSampled): probability an
      * allocation is admitted into the detectors; other tools ignore it.
-     * Part of the run identity like seed/banks: same spec, same
+     * Part of the run identity like seed/codec: same spec, same
      * RunResult. 1.0 (the default) monitors every allocation and is
      * detection-equivalent to full SafeMem.
      */
@@ -59,7 +59,7 @@ struct RunParams
     /**
      * Protection geometry the run's machine is built with
      * (MachineConfig::geometry). Part of the run identity like
-     * seed/codec/banks: same spec, same RunResult. The word default is
+     * seed/codec: same spec, same RunResult. The word default is
      * the per-word SEC-DED datapath and reproduces the pre-geometry
      * results bit for bit; block geometries add the "geometry.*" stat
      * family to the result.

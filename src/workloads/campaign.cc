@@ -25,13 +25,6 @@ namespace {
  *  inflating the trial count. */
 constexpr int kWordsPerPattern = 4;
 
-/** One injected error pattern over a whole codeword. */
-struct ErrorPattern
-{
-    std::uint64_t dataMask = 0;
-    std::uint64_t checkMask = 0;
-};
-
 /** Decode one upset word and tally the outcome into @p cell. */
 void
 scoreTrial(const EccCodec &code, std::uint64_t data,
@@ -77,26 +70,6 @@ merge(const ErrorPattern &a, const ErrorPattern &b)
     return {a.dataMask ^ b.dataMask, a.checkMask ^ b.checkMask};
 }
 
-/** @return @p errors distinct random codeword positions as a pattern. */
-ErrorPattern
-randomPattern(const EccCodec &code, int errors, Rng &rng)
-{
-    int total = code.dataBits() + code.checkBits();
-    ErrorPattern pattern;
-    int placed = 0;
-    while (placed < errors) {
-        ErrorPattern bit = singleBit(
-            code, static_cast<int>(rng.range(0, total - 1)));
-        ErrorPattern merged = merge(pattern, bit);
-        if (merged.dataMask == pattern.dataMask &&
-            merged.checkMask == pattern.checkMask)
-            continue; // duplicate position, redraw
-        pattern = merged;
-        ++placed;
-    }
-    return pattern;
-}
-
 /** Run one (codec, mode, errors) cell. Deterministic: the RNG is
  *  seeded from the campaign seed and the cell's global index alone. */
 CampaignCell
@@ -133,9 +106,12 @@ runCell(const EccCodec &code, FailMode mode, int errors,
         } else {
             // C(total, errors) explodes past 2 errors: sample instead.
             cell.exhaustive = false;
-            for (std::uint64_t i = 0; i < samples; ++i)
-                scoreTrial(code, rng.next(),
-                           randomPattern(code, errors, rng), cell);
+            for (std::uint64_t i = 0; i < samples; ++i) {
+                // Two draws from one RNG: sequence them (pattern first)
+                // instead of leaving the order to argument evaluation.
+                ErrorPattern pattern = randomPattern(code, errors, rng);
+                scoreTrial(code, rng.next(), pattern, cell);
+            }
         }
         break;
     }
@@ -193,6 +169,28 @@ appendCdf(std::ostringstream &out, const CodecCampaign &codec,
 }
 
 } // namespace
+
+ErrorPattern
+randomPattern(const EccCodec &code, int errors, Rng &rng)
+{
+    // Maps positions to masks in place rather than through singleBit()
+    // and merge(): this loop is the sampled cells' hot path.
+    const int total = code.dataBits() + code.checkBits();
+    ErrorPattern pattern;
+    for (int placed = 0; placed < errors;) {
+        const int position = static_cast<int>(rng.range(0, total - 1));
+        const bool data = position < code.dataBits();
+        std::uint64_t &mask = data ? pattern.dataMask : pattern.checkMask;
+        const std::uint64_t bit = std::uint64_t{1}
+                                  << (data ? position
+                                           : position - code.dataBits());
+        if ((mask & bit) != 0)
+            continue; // duplicate position, redraw
+        mask |= bit;
+        ++placed;
+    }
+    return pattern;
+}
 
 const char *
 failModeName(FailMode mode)

@@ -33,6 +33,8 @@
 
 namespace safemem {
 
+class Rng;
+
 /** How a campaign cell injects errors into a codeword. */
 enum class FailMode : std::uint8_t
 {
@@ -105,6 +107,22 @@ struct CampaignResult
     /** Field-for-field equality — the bit-identical-sweeps contract. */
     bool operator==(const CampaignResult &) const = default;
 };
+
+/** One injected error pattern over a whole codeword: the data and
+ *  check bits it flips. */
+struct ErrorPattern
+{
+    std::uint64_t dataMask = 0;
+    std::uint64_t checkMask = 0;
+};
+
+/**
+ * @return @p errors distinct codeword positions of @p code (data bits
+ * first, then check bits), drawn from @p rng, as one pattern with
+ * exactly @p errors bits set. A position already in the pattern is
+ * redrawn, never merged. The random cells' sampler.
+ */
+ErrorPattern randomPattern(const EccCodec &code, int errors, Rng &rng);
 
 /** Run the campaign described by @p config. */
 CampaignResult runCampaign(const CampaignConfig &config);

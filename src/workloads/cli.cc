@@ -6,7 +6,6 @@
 
 #include "check/simcheck.h"
 #include "ecc/parse_number.h"
-#include "mem/bank.h"
 #include "trace/trace.h"
 #include "workloads/report_writer.h"
 
@@ -52,9 +51,6 @@ cliUsage()
        << "  --procs <n>       consolidate n instances of the workload as\n"
        << "                    separate processes on one machine "
           "(default: 1)\n"
-       << "  --banks <n>       page-interleaved memory banks, each\n"
-       << "                    independently lockable (1-"
-       << kMaxMemoryBanks << ", default: 1)\n"
        << "  --overhead        also run uninstrumented and report the "
           "overhead\n"
        << "  --stats[=prefix]  dump run counters (optionally filtered)\n"
@@ -249,16 +245,6 @@ parseCliArguments(const std::vector<std::string> &args)
                     "--procs needs at least 1\n\n" + cliUsage();
                 return result;
             }
-        } else if (arg == "--banks") {
-            if (!need_count(arg, options.params.banks))
-                return result;
-            if (options.params.banks < 1 ||
-                options.params.banks > kMaxMemoryBanks) {
-                result.message = "--banks needs 1-" +
-                                 std::to_string(kMaxMemoryBanks) + "\n\n" +
-                                 cliUsage();
-                return result;
-            }
         } else {
             result.message =
                 "unknown option '" + arg + "'\n\n" + cliUsage();
@@ -312,8 +298,6 @@ traceLabel(const RunSpec &spec)
         label += "+buggy";
     if (spec.procs > 1)
         label += "+procs" + std::to_string(spec.procs);
-    if (spec.params.banks > 1)
-        label += "+banks" + std::to_string(spec.params.banks);
     if (!spec.params.geometry.isWord())
         label += "+" + geometryLabel(spec.params.geometry);
     return label;

@@ -280,7 +280,6 @@ runWorkload(const std::string &app_name, ToolKind tool,
 
     MachineConfig machine_config;
     machine_config.memoryBytes = 192u << 20;
-    machine_config.banks = params.banks;
     machine_config.geometry = params.geometry;
     machine_config.log = params.log;
     machine_config.trace = params.trace;
@@ -335,30 +334,14 @@ namespace {
  * machine, so the simulation stays single-threaded in all but name —
  * bit-identical and data-race free (the mutex carries the
  * happens-before edge between consecutive holders).
- *
- * On a banked machine the gate additionally classifies each
- * scheduler-driven hand-off against the bank partition: when the
- * outgoing and incoming processes' resident frames occupy disjoint
- * bank sets (Kernel::bankFootprint), the per-bank locking refactor
- * proves the two could not have contended on a bank lock, and the
- * hand-off is counted as bank-disjoint; hand-offs between processes
- * sharing a bank stay bank-gated. The token itself is never relaxed —
- * the shared cycle clock and the pid-tagged cache make genuinely
- * concurrent machine access meaningless — so the split measures the
- * parallelism the bank partition *exposes*, not parallelism exploited.
  */
-class BankGate
+class TokenGate
 {
   public:
     /** Thrown out of waitFor() to unwind threads on a failed run. */
     struct Aborted
     {
     };
-
-    BankGate(const Kernel &kernel, std::uint32_t banks)
-        : kernel_(kernel), banks_(banks)
-    {
-    }
 
     /** Block until @p pid holds the token (or the run aborts). */
     void
@@ -371,31 +354,7 @@ class BankGate
             throw Aborted{};
     }
 
-    /**
-     * Pass the token from @p from to @p to at a scheduling point,
-     * classifying the pair's bank footprints. Must be called by the
-     * current holder (it reads the kernel's per-process frame counts,
-     * which only the driving thread may touch).
-     */
-    void
-    handOff(Pid from, Pid to) EXCLUDES(mutex_)
-    {
-        bool disjoint =
-            banks_ > 1 &&
-            (kernel_.bankFootprint(from) & kernel_.bankFootprint(to)) == 0;
-        {
-            MutexLock lock(mutex_);
-            running_ = to;
-            if (disjoint)
-                ++disjointHandoffs_;
-            else if (banks_ > 1)
-                ++gatedHandoffs_;
-        }
-        cv_.notify_all();
-    }
-
-    /** Pass the token to @p pid without classifying (admission and exit
-     *  hand-offs, where one side has no address space to compare). */
+    /** Pass the token to @p pid. */
     void
     handOffTo(Pid pid) EXCLUDES(mutex_)
     {
@@ -417,31 +376,11 @@ class BankGate
         cv_.notify_all();
     }
 
-    /** @name Hand-off classification (safe after the threads join) */
-    /// @{
-    std::uint64_t
-    disjointHandoffs() const EXCLUDES(mutex_)
-    {
-        MutexLock lock(mutex_);
-        return disjointHandoffs_;
-    }
-    std::uint64_t
-    gatedHandoffs() const EXCLUDES(mutex_)
-    {
-        MutexLock lock(mutex_);
-        return gatedHandoffs_;
-    }
-    /// @}
-
   private:
-    const Kernel &kernel_;
-    const std::uint32_t banks_;
-    mutable Mutex mutex_;
+    Mutex mutex_;
     CondVar cv_;
     Pid running_ GUARDED_BY(mutex_) = 0;
     bool abort_ GUARDED_BY(mutex_) = false;
-    std::uint64_t disjointHandoffs_ GUARDED_BY(mutex_) = 0;
-    std::uint64_t gatedHandoffs_ GUARDED_BY(mutex_) = 0;
 };
 
 /**
@@ -491,7 +430,6 @@ runConsolidated(const RunSpec &spec)
     MachineConfig machine_config;
     machine_config.memoryBytes =
         (192u << 20) + static_cast<std::size_t>(96u << 20) * (nprocs - 1);
-    machine_config.banks = spec.params.banks;
     machine_config.geometry = spec.params.geometry;
     machine_config.log = spec.params.log;
     machine_config.trace = spec.params.trace;
@@ -533,9 +471,9 @@ runConsolidated(const RunSpec &spec)
         machine.scheduler().admit(run.pid);
     }
 
-    BankGate gate(kernel, machine_config.banks);
+    TokenGate gate;
     machine.setYieldHook([&gate](Pid from, Pid to) {
-        gate.handOff(from, to);
+        gate.handOffTo(to);
         gate.waitFor(from);
     });
 
@@ -573,7 +511,7 @@ runConsolidated(const RunSpec &spec)
                     machine.contextSwitchTo(*next);
                     gate.handOffTo(*next);
                 }
-            } catch (const BankGate::Aborted &) {
+            } catch (const TokenGate::Aborted &) {
                 // Another process's failure ended the run.
             } catch (const std::exception &err) {
                 error.setFirst(err.what());
@@ -633,13 +571,6 @@ runConsolidated(const RunSpec &spec)
         mergeStats(result.stats, "geometry",
                    machine.controller().geometryStats());
     mergeStats(result.stats, "sched", machine.scheduler().stats());
-    // Bank hand-off classification only exists on a banked machine;
-    // banks=1 keeps the exact pre-bank stats key set (bit-identity).
-    if (machine_config.banks > 1) {
-        result.stats["sched.bank_disjoint_handoffs"] =
-            gate.disjointHandoffs();
-        result.stats["sched.bank_gated_handoffs"] = gate.gatedHandoffs();
-    }
 
     result.bugDetected =
         result.leakReportsTrue > 0 || result.corruptionTrue > 0;

@@ -74,7 +74,6 @@ runFleet(const FleetConfig &config)
             spec.params.requests = config.requests;
             spec.params.buggy = true;
             spec.params.seed = config.baseSeed + 1009ULL * s;
-            spec.params.banks = config.banks;
             spec.params.sampleRate = tool.rate;
             spec.params.log = config.log;
             specs.push_back(spec);
@@ -95,7 +94,6 @@ runFleet(const FleetConfig &config)
     result.requests = config.requests;
     result.seeds = config.seeds;
     result.baseSeed = config.baseSeed;
-    result.banks = config.banks;
 
     // Worker-count independence: the same spec list must produce the
     // same results bit for bit from a differently-sized pool.
@@ -173,7 +171,7 @@ formatFleetReport(const FleetResult &result)
     std::ostringstream os;
     os << "=== fleet: " << result.procs << "x " << result.app
        << " (buggy), " << result.requests << " requests/tenant, "
-       << result.seeds << " seeds, " << result.banks << " banks ===\n";
+       << result.seeds << " seeds ===\n";
     os << std::left << std::setw(20) << "tool" << std::right
        << std::setw(10) << "detect%" << std::setw(12) << "overhead%"
        << std::setw(12) << "catch(s)" << std::setw(12) << "monitored%"
@@ -209,7 +207,6 @@ fleetJson(const FleetResult &result)
     os << "  \"requests\": " << result.requests << ",\n";
     os << "  \"seeds\": " << result.seeds << ",\n";
     os << "  \"base_seed\": " << result.baseSeed << ",\n";
-    os << "  \"banks\": " << result.banks << ",\n";
     os << "  \"identical\": " << (result.identical ? "true" : "false")
        << ",\n";
     os << "  \"cells\": [\n";

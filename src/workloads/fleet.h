@@ -4,7 +4,7 @@
  * experiment SampledSafeMem exists for.
  *
  * One fleet run consolidates N request-churning server tenants on one
- * machine (createProcess/exitProcess churn, banked memory, shared cache
+ * machine (createProcess/exitProcess churn, shared memory bus, cache
  * and scrubber) and repeats that across many seeds for each monitoring
  * configuration: uninstrumented, full SafeMem, Purify, and SampledSafeMem
  * at several rates. Per configuration it aggregates
@@ -46,8 +46,6 @@ struct FleetConfig
     std::uint32_t seeds = 5;
     /** First seed; seed k runs at baseSeed + 1009 * k. */
     std::uint64_t baseSeed = 42;
-    /** Memory banks of each run's machine. */
-    std::uint32_t banks = 4;
     /** SampledSafeMem rates to sweep (each adds a configuration). */
     std::vector<double> rates = {1.0 / 16, 1.0 / 64, 1.0 / 256};
     /** Worker threads for the run matrix (0 = all cores). */
@@ -105,7 +103,6 @@ struct FleetResult
     std::uint64_t requests = 0;
     std::uint32_t seeds = 0;
     std::uint64_t baseSeed = 0;
-    std::uint32_t banks = 0;
     /** Configurations in sweep order: none, safemem, purify, sampled@r. */
     std::vector<FleetCell> cells;
     /** True when the verify pass (if any) matched bit for bit. */

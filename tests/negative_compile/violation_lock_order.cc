@@ -1,7 +1,7 @@
 // Negative-compile case: acquiring two mutexes against their declared
 // ACQUIRED_AFTER ordering must be rejected by -Wthread-safety-beta
-// (-Werror). This is the compile-time face of the bus-lock > bank >
-// watch-manager hierarchy (docs/MECHANISM.md §11).
+// (-Werror). This is the compile-time face of the watch-park -> bus-lock
+// hierarchy (docs/MECHANISM.md §11).
 #include "common/mutex.h"
 
 namespace {

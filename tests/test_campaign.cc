@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "common/logging.h"
+#include "common/random.h"
 #include "os/machine.h"
 #include "workloads/campaign.h"
 #include "workloads/cli.h"
@@ -105,6 +108,18 @@ TEST(Campaign, SecDedDetectsEveryDoubleWhereHammingMiscorrects)
     EXPECT_EQ(hsiao.cells[2].detected, hsiao.cells[2].trials);
     EXPECT_EQ(hsiao.cells[1].miscorrected + hsiao.cells[2].miscorrected,
               0u);
+    // SEC-DED corrects single errors only: in neither Hsiao code does
+    // any cell of two or more errors, exhaustive, sampled or burst,
+    // report a correction.
+    const CodecCampaign &hsiao_k8 = result.codecs[2];
+    for (const CodecCampaign *secded : {&hsiao, &hsiao_k8}) {
+        for (const CampaignCell &cell : secded->cells) {
+            if (cell.errors >= 2) {
+                EXPECT_EQ(cell.corrected, 0u)
+                    << failModeName(cell.mode) << " " << cell.errors;
+            }
+        }
+    }
 
     // Classic Hamming corrects singles too — but doubles silently
     // corrupt: zero detected (no Uncorrectable outcome exists) and a
@@ -117,6 +132,29 @@ TEST(Campaign, SecDedDetectsEveryDoubleWhereHammingMiscorrects)
     EXPECT_TRUE(hsiao.scrambleViable);
     EXPECT_TRUE(result.codecs[2].scrambleViable);
     EXPECT_FALSE(hamming.scrambleViable);
+}
+
+TEST(Campaign, RandomPatternsSetExactlyTheirErrorCount)
+{
+    // The sampler's own property: a w-error pattern flips w distinct
+    // positions. A repeated draw must be redrawn, not XOR-cancelled.
+    for (const EccCodecSpec &spec :
+         {EccCodecSpec{EccCodecKind::Hsiao, 64, 0},
+          EccCodecSpec{EccCodecKind::Hamming64_8, 64, 0},
+          EccCodecSpec{EccCodecKind::Hsiao, 64, 8}}) {
+        auto code = makeCodec(spec);
+        Rng rng(11);
+        for (int errors = 1; errors <= 8; ++errors) {
+            for (int draw = 0; draw < 2000; ++draw) {
+                ErrorPattern pattern = randomPattern(*code, errors, rng);
+                ASSERT_EQ(std::popcount(pattern.dataMask) +
+                              std::popcount(pattern.checkMask),
+                          errors)
+                    << code->name() << " draw " << draw;
+                ASSERT_EQ(pattern.checkMask >> code->checkBits(), 0u);
+            }
+        }
+    }
 }
 
 TEST(Campaign, JsonDocumentCarriesTheReportShape)

@@ -286,157 +286,6 @@ TEST(FaultInjection, ScrubRaceKeepsParkScrubRestoreOrdering)
     EXPECT_EQ(backend.stats().get("hardware_errors_detected"), repairs);
 }
 
-TEST(FaultInjection, BankBoundaryWatchSurvivesPerBankScrub)
-{
-    // A watched region whose frames straddle two memory banks races the
-    // per-bank scrubber: each of its banks parks and restores it on its
-    // own schedule. The flight recorder must show the region parked in
-    // exactly its banks' pass windows (a single-bank control region in
-    // exactly one), every park matched by a restore, and the watch still
-    // armed — with its data intact — after the churn.
-    if (!kTraceCompiledIn)
-        GTEST_SKIP() << "needs compiled-in trace emit sites";
-
-    Trace trace(1u << 18);
-    // 1 MiB / 4 banks = 64 pages per bank: a 70-page region overflows
-    // the home bank, so somewhere inside it two adjacent virtual pages
-    // translate to frames in different banks.
-    MachineConfig machine_config{1u << 20, CacheConfig{16, 2}, 64};
-    machine_config.banks = 4;
-    machine_config.trace = &trace;
-    Machine machine(machine_config);
-    machine.kernel().setPanicOnHardwareError(false);
-    EccWatchManager manager(machine);
-    manager.installFaultHandler();
-    manager.installScrubHooks();
-
-    int callbacks = 0;
-    VirtAddr callback_base = 0;
-    manager.setFaultCallback([&](VirtAddr base, WatchKind, std::uint64_t,
-                                 VirtAddr, bool) {
-        ++callbacks;
-        callback_base = base;
-    });
-
-    VirtAddr region = machine.kernel().mapRegion(70 * kPageSize);
-    MemoryController &controller = machine.controller();
-    Kernel &kernel = machine.kernel();
-    auto bank_of_page = [&](int page) {
-        std::optional<PhysAddr> frame =
-            kernel.peekTranslate(region + page * kPageSize);
-        EXPECT_TRUE(frame.has_value());
-        return controller.bankOf(*frame);
-    };
-    int boundary = -1;
-    for (int page = 0; page + 1 < 70; ++page) {
-        if (bank_of_page(page) != bank_of_page(page + 1)) {
-            boundary = page;
-            break;
-        }
-    }
-    ASSERT_GE(boundary, 0) << "no bank boundary inside the region";
-    unsigned bank_lo = bank_of_page(boundary);
-    unsigned bank_hi = bank_of_page(boundary + 1);
-
-    // The spanning region: one cache line either side of the boundary.
-    VirtAddr cross = region + (boundary + 1) * kPageSize;
-    machine.store<std::uint64_t>(cross - 64, 0xfeedULL);
-    machine.store<std::uint64_t>(cross, 0xfaceULL);
-    manager.watch(cross - 64, 128, WatchKind::FreedBuffer, 1);
-    // The control region: wholly inside the first page's bank.
-    unsigned bank_control = bank_of_page(0);
-    manager.watch(region, 64, WatchKind::LeakSuspect, 2);
-
-    // Churn far from the watches so the scrubber keeps firing on the
-    // access path without ever tripping a watch.
-    int churn_page = boundary > 6 ? 5 : boundary + 3;
-    VirtAddr churn = region + churn_page * kPageSize;
-    machine.kernel().enableScrubbing(20'000);
-    for (int round = 0; round < 400; ++round) {
-        machine.store<std::uint64_t>(churn + (round % 64) * 64,
-                                     static_cast<std::uint64_t>(round));
-        machine.load<std::uint64_t>(churn + (round % 64) * 64);
-        machine.compute(500);
-    }
-    machine.kernel().disableScrubbing();
-
-    ASSERT_EQ(trace.dropped(), 0u)
-        << "ring too small to audit the whole run";
-
-    // Replay: track which bank's pass window we are in and demand each
-    // region parks in exactly its banks' windows.
-    std::uint64_t passes_by_bank[kMaxMemoryBanks] = {};
-    std::uint64_t cross_parks = 0;
-    std::uint64_t cross_restores = 0;
-    std::uint64_t control_parks = 0;
-    std::uint64_t control_restores = 0;
-    int current_bank = -1;
-    for (const TraceRecord &record : trace.records()) {
-        switch (record.event) {
-          case TraceEvent::KernelScrubTickBegin:
-            EXPECT_EQ(current_bank, -1) << "nested bank passes";
-            current_bank = static_cast<int>(record.a);
-            break;
-          case TraceEvent::KernelScrubTickEnd:
-            EXPECT_EQ(current_bank, static_cast<int>(record.a));
-            ++passes_by_bank[record.a];
-            current_bank = -1;
-            break;
-          case TraceEvent::ControllerScrubBegin:
-            // The pass inside the bracket scrubs the bracket's bank.
-            ASSERT_NE(current_bank, -1);
-            EXPECT_EQ(record.c, static_cast<std::uint64_t>(current_bank));
-            break;
-          case TraceEvent::WatchScrubPark:
-            ASSERT_NE(current_bank, -1) << "park outside a pass window";
-            if (record.a == cross - 64) {
-                EXPECT_TRUE(current_bank == static_cast<int>(bank_lo) ||
-                            current_bank == static_cast<int>(bank_hi))
-                    << "spanning region parked by foreign bank "
-                    << current_bank;
-                ++cross_parks;
-            } else if (record.a == region) {
-                EXPECT_EQ(current_bank, static_cast<int>(bank_control))
-                    << "single-bank region parked by foreign bank";
-                ++control_parks;
-            }
-            break;
-          case TraceEvent::WatchScrubRestore:
-            ASSERT_NE(current_bank, -1);
-            if (record.a == cross - 64)
-                ++cross_restores;
-            else if (record.a == region)
-                ++control_restores;
-            break;
-          case TraceEvent::ControllerInterrupt:
-          case TraceEvent::KernelEccInterrupt:
-            EXPECT_EQ(current_bank, -1)
-                << "ECC interrupt inside bank " << current_bank
-                << "'s scrub pass";
-            break;
-          default:
-            break;
-        }
-    }
-    EXPECT_EQ(current_bank, -1) << "unclosed bank pass bracket";
-
-    // The spanning region rides both of its banks' schedules; the
-    // control region only its own. Pass counts make this exact.
-    EXPECT_GE(passes_by_bank[bank_lo], 2u);
-    EXPECT_EQ(cross_parks, passes_by_bank[bank_lo] + passes_by_bank[bank_hi]);
-    EXPECT_EQ(control_parks, passes_by_bank[bank_control]);
-    EXPECT_EQ(cross_parks, cross_restores);
-    EXPECT_EQ(control_parks, control_restores);
-
-    // After all that churn both watches are still armed and the data
-    // under them survived every park/restore cycle.
-    EXPECT_TRUE(manager.isWatched(cross - 64));
-    EXPECT_TRUE(manager.isWatched(region));
-    EXPECT_EQ(machine.load<std::uint64_t>(cross), 0xfaceULL);
-    EXPECT_EQ(callbacks, 1);
-    EXPECT_EQ(callback_base, cross - 64);
-}
-
 TEST(FaultInjection, MultiBitOnPlainMemoryPanicsWithoutSafeMem)
 {
     // Stock-OS behaviour (paper §2.1): an uncorrectable error with no
@@ -452,10 +301,10 @@ TEST(FaultInjection, MultiBitOnPlainMemoryPanicsWithoutSafeMem)
     EXPECT_THROW(machine.load<std::uint64_t>(buffer), PanicError);
 }
 
-TEST(FaultInjection, SampledTenantChurnRacesPerBankScrubCleanly)
+TEST(FaultInjection, SampledTenantChurnRacesScrubCleanly)
 {
-    // Sparse sampled watches on a banked machine race the per-bank
-    // scrubber while tenants come and go: three SampledSafeMem tenants
+    // Sparse sampled watches race the scrubber while tenants come and
+    // go: three SampledSafeMem tenants
     // allocate and free under scrub pressure, one finishes and exits
     // mid-run, and the flight recorder must show every scrub park
     // matched by a restore (or an explicit cancel), with no watch left
@@ -465,7 +314,6 @@ TEST(FaultInjection, SampledTenantChurnRacesPerBankScrubCleanly)
 
     Trace trace(1u << 18);
     MachineConfig machine_config{8u << 20, CacheConfig{32, 4}, 64};
-    machine_config.banks = 4;
     machine_config.trace = &trace;
     Machine machine(machine_config);
     machine.kernel().setPanicOnHardwareError(false);
@@ -568,7 +416,7 @@ TEST(FaultInjection, SampledTenantChurnRacesPerBankScrubCleanly)
           default: break;
         }
     }
-    EXPECT_GE(passes, 4u) << "scrubber never completed a bank pass";
+    EXPECT_GE(passes, 4u) << "scrubber never completed a pass";
     EXPECT_GE(parks, 1u) << "no watch ever raced a scrub pass";
     EXPECT_EQ(parks, restores + cancels);
 }

@@ -195,7 +195,7 @@ TEST(GeometryTest, SequentialWritebacksAmortizeRmwCost)
     Machine machine(config);
     // Four pages of sequential stores: the 16x2 cache spills lines in
     // stream order, so most demand writebacks land in the codeword
-    // their bank already holds open. (flushAll's set-order tail
+    // the controller already holds open. (flushAll's set-order tail
     // interleaves codewords and pays the RMW — also by design.)
     VirtAddr buffer = machine.kernel().mapRegion(4 * kPageSize);
     for (std::size_t off = 0; off < 4 * kPageSize; off += 8)
@@ -295,17 +295,15 @@ TEST(GeometryTest, ScrubParksAndRestoresWatchesAtEachGeometry)
 }
 
 /**
- * The satellite race: seeded streaming traffic and seeded single-bit
- * fault injection against the per-bank scrubber on a banked block:512
- * machine, with a guard watch straddling a codeword boundary riding
- * along. Returns the machine-wide stat snapshot for the determinism
+ * The scrub race: seeded streaming traffic and seeded single-bit fault
+ * injection against the scrubber on a block:512 machine, with a guard
+ * watch straddling a codeword boundary riding along. Returns the machine-wide stat snapshot for the determinism
  * check.
  */
 std::map<std::string, std::uint64_t>
 runStreamingScrubRace(Trace &trace)
 {
     MachineConfig config{8u << 20, CacheConfig{32, 4}, 64};
-    config.banks = 4;
     config.trace = &trace;
     config.geometry = *parseGeometry("block:512");
     Machine machine(config);
@@ -359,7 +357,7 @@ runStreamingScrubRace(Trace &trace)
     return snapshot;
 }
 
-TEST(GeometryTest, StreamingRacesPerBankScrubUnderBlock512)
+TEST(GeometryTest, StreamingRacesScrubUnderBlock512)
 {
     if (!kTraceCompiledIn)
         GTEST_SKIP() << "needs compiled-in trace emit sites";
@@ -368,9 +366,9 @@ TEST(GeometryTest, StreamingRacesPerBankScrubUnderBlock512)
     std::map<std::string, std::uint64_t> first =
         runStreamingScrubRace(trace);
 
-    // Replay the flight recorder: every park window the per-bank
-    // scrubber opened on the guard watch closed again, and the block
-    // datapath actually worked (decodes and RMWs under traffic).
+    // Replay the flight recorder: every park window the scrubber
+    // opened on the guard watch closed again, and the block datapath
+    // actually worked (decodes and RMWs under traffic).
     ASSERT_EQ(trace.dropped(), 0u);
     std::uint64_t parks = 0, restores = 0, decodes = 0, rmws = 0;
     for (const TraceRecord &record : trace.records()) {
@@ -379,14 +377,14 @@ TEST(GeometryTest, StreamingRacesPerBankScrubUnderBlock512)
           case TraceEvent::WatchScrubRestore: ++restores; break;
           case TraceEvent::EccBlockDecode:
             ++decodes;
-            // Payload: a = line, b = codeword base, c = bank.
+            // Payload: a = line, b = codeword base, c unused (zero).
             EXPECT_EQ(record.b, alignDown(record.a, 512));
-            EXPECT_LT(record.c, 4u);
+            EXPECT_EQ(record.c, 0u);
             break;
           case TraceEvent::PartialWriteRmw:
             ++rmws;
             EXPECT_EQ(record.b, alignDown(record.a, 512));
-            EXPECT_LT(record.c, 4u);
+            EXPECT_EQ(record.c, 0u);
             break;
           default:
             break;

@@ -247,8 +247,7 @@ TEST_F(KernelTest, ScrubHooksBracketScrubPasses)
 {
     Kernel &kernel = machine.kernel();
     int pre = 0, post = 0;
-    kernel.setScrubHooks([&](unsigned) { ++pre; },
-                         [&](unsigned) { ++post; });
+    kernel.setScrubHooks([&] { ++pre; }, [&] { ++post; });
     kernel.enableScrubbing(10'000);
     machine.compute(20'000);
     kernel.tick();
@@ -263,7 +262,7 @@ TEST_F(KernelTest, ScrubDoesNotFireBeforePeriod)
 {
     Kernel &kernel = machine.kernel();
     int pre = 0;
-    kernel.setScrubHooks([&](unsigned) { ++pre; }, nullptr);
+    kernel.setScrubHooks([&] { ++pre; }, nullptr);
     kernel.enableScrubbing(1'000'000);
     machine.compute(10);
     kernel.tick();

@@ -153,7 +153,7 @@ TEST_F(MachineTest, TickIntervalDrivesScrubber)
 {
     machine.kernel().enableScrubbing(1);
     int pre = 0;
-    machine.kernel().setScrubHooks([&](unsigned) { ++pre; }, nullptr);
+    machine.kernel().setScrubHooks([&] { ++pre; }, nullptr);
     machine.compute(10);
     // tickInterval is 8 accesses in this fixture.
     std::uint64_t value = 0;
@@ -193,6 +193,19 @@ TEST(MachineConfigTest, BootLeavesDramNonResident)
     Machine machine(config);
     EXPECT_LT(residentBytes(), before + (std::size_t{16} << 20));
     EXPECT_EQ(machine.physicalMemory().size(), config.memoryBytes);
+}
+
+TEST(MachineConfigTest, MachineHasOneMemoryBus)
+{
+    // MachineConfig::banks survives only as a deprecated field; any
+    // value but 1 must fail loudly rather than build a different
+    // machine silently.
+    MachineConfig config{4u << 20, CacheConfig{16, 2}, 64};
+    config.banks = 4;
+    EXPECT_THROW(Machine{config}, PanicError);
+    config.banks = 1;
+    Machine machine(config);
+    EXPECT_FALSE(machine.controller().busLocked());
 }
 
 } // namespace

@@ -311,7 +311,7 @@ TEST(PhysicalMemory, ZeroFilledEdcLaneFoldsTheZeroLine)
         PhysicalMemory memory(64 * 1024, 8, *geometry);
         CycleClock clock;
         MemoryController controller(memory, clock, nullptr, defaultCodec(),
-                                    1, *geometry);
+                                    *geometry);
         const PhysAddr line = 5 * kCacheLineSize;
         EXPECT_EQ(memory.readEdc(line), edcZeroLineFold(geometry->edc));
         EXPECT_TRUE(controller.edcConsistent(line));

@@ -260,7 +260,6 @@ TEST(FleetReport, JsonAndTableShapesArePinnedAndNanFree)
     config.procs = 2;
     config.requests = 40; // tiny: nothing detects -> exercises guards
     config.seeds = 1;
-    config.banks = 2;
     config.rates = {1.0 / 16};
     config.workers = 1;
     config.verifyWorkers = 2;
@@ -278,7 +277,7 @@ TEST(FleetReport, JsonAndTableShapesArePinnedAndNanFree)
     const std::string json = fleetJson(result);
     for (const char *key :
          {"\"bench\": \"fleet\"", "\"app\": \"squid2\"", "\"procs\": 2",
-          "\"requests\": 40", "\"seeds\": 1", "\"banks\": 2",
+          "\"requests\": 40", "\"seeds\": 1",
           "\"identical\": true", "\"cells\": [", "\"tool\": \"none\"",
           "\"tool\": \"sampled@0.0625\"", "\"rate\": ",
           "\"seeds_run\": ", "\"seeds_detected\": ",
@@ -287,6 +286,7 @@ TEST(FleetReport, JsonAndTableShapesArePinnedAndNanFree)
           "\"monitored_allocs\": ", "\"total_allocs\": ",
           "\"monitored_percent\": ", "\"zero_sample_tenants\": "})
         EXPECT_NE(json.find(key), std::string::npos) << key;
+    EXPECT_EQ(json.find("\"banks\""), std::string::npos);
     // The zero-detection / zero-sample guards: no NaN or inf may ever
     // reach a report, in either rendering. "nan" needs care: the word
     // "tenant" contains it, so only flag occurrences not preceded by a

@@ -138,16 +138,72 @@ TEST(Trace, MalformedMagicThrows)
 
 TEST(Trace, TruncatedSectionThrows)
 {
-    Trace trace(16);
-    trace.emit(TraceEvent::WatchDrop, 1);
+    Trace first(16);
+    for (std::uint64_t i = 0; i < 5; ++i)
+        first.emit(TraceEvent::ControllerFill, i, i, 1);
+    Trace second(16);
+    second.emit(TraceEvent::LeakReported, 9, 0xabc, 128, 7);
     std::stringstream stream(std::ios::in | std::ios::out |
                              std::ios::binary);
-    writeTraceSection(stream, trace, "cut");
-    std::string bytes = stream.str();
-    bytes.resize(bytes.size() - 5);
+    writeTraceSection(stream, first, "one");
+    const std::size_t boundary = stream.str().size();
+    writeTraceSection(stream, second, "two");
+    const std::string bytes = stream.str();
 
-    std::stringstream cut(bytes, std::ios::in | std::ios::binary);
-    EXPECT_THROW(readTraceSections(cut), FatalError);
+    // Cut the file at every byte: a cut on a section boundary reads
+    // back the whole sections before it, any other cut is an error.
+    for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+        std::stringstream in(bytes.substr(0, cut),
+                             std::ios::in | std::ios::binary);
+        if (cut != 0 && cut != boundary && cut != bytes.size()) {
+            EXPECT_THROW(readTraceSections(in), FatalError)
+                << "cut at byte " << cut;
+            continue;
+        }
+        std::vector<TraceSection> sections = readTraceSections(in);
+        ASSERT_EQ(sections.size(),
+                  cut == 0 ? 0u : cut == boundary ? 1u : 2u);
+        if (!sections.empty()) {
+            EXPECT_EQ(sections[0].records, first.records());
+        }
+        if (sections.size() == 2) {
+            EXPECT_EQ(sections[1].records, second.records());
+        }
+    }
+}
+
+TEST(Trace, HugeHeaderFieldsThrowInsteadOfAllocating)
+{
+    // A real empty section labelled "x" is 37 bytes: magic, version,
+    // label length (offset 8), the label, then emitted, capacity and
+    // record count (offsets 13, 21, 29).
+    std::stringstream stream(std::ios::in | std::ios::out |
+                             std::ios::binary);
+    writeTraceSection(stream, Trace(16), "x");
+    const std::string header = stream.str();
+    ASSERT_EQ(header.size(), 37u);
+    auto patch = [](std::string bytes, std::size_t offset,
+                    std::uint64_t value) {
+        bytes.replace(offset, sizeof(value),
+                      reinterpret_cast<const char *>(&value),
+                      sizeof(value));
+        return bytes;
+    };
+    const std::uint64_t huge = std::uint64_t{1} << 40;
+    std::string long_label = header;
+    long_label.replace(8, 4, "\xff\xff\xff\xff", 4);
+    const std::string corrupt[] = {
+        long_label,
+        // count = capacity = 2^40 records claimed by a 37-byte file.
+        patch(patch(header, 21, huge), 29, huge),
+        patch(patch(patch(header, 13, huge), 21, huge), 29, huge),
+        patch(header, 29, ~std::uint64_t{0}),
+        patch(header, 29, 1), // one record, but none was ever emitted
+    };
+    for (const std::string &bytes : corrupt) {
+        std::stringstream in(bytes, std::ios::in | std::ios::binary);
+        EXPECT_THROW(readTraceSections(in), FatalError);
+    }
 }
 
 TEST(Trace, JsonLinesCarryAbsoluteSequenceNumbers)

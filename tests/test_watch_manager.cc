@@ -170,7 +170,7 @@ TEST_F(WatchManagerTest, ScrubPassParksAndRestoresWatches)
 TEST_F(WatchManagerTest, ScrubParkedRegionsStayLogicallyWatched)
 {
     manager.watch(region, 128, WatchKind::LeakSuspect, 1);
-    manager.parkAllForScrub(0);
+    manager.parkAllForScrub();
 
     // Parked for the duration of the scrub pass, but still logically
     // watched: visible to isWatched() and opaque to overlapping watches,
@@ -179,7 +179,7 @@ TEST_F(WatchManagerTest, ScrubParkedRegionsStayLogicallyWatched)
     EXPECT_THROW(manager.watch(region + 64, 64, WatchKind::FreedBuffer, 2),
                  PanicError);
 
-    manager.restoreAfterScrub(0);
+    manager.restoreAfterScrub();
     EXPECT_TRUE(manager.isWatched(region));
     EXPECT_EQ(manager.regionCount(), 1u);
     EXPECT_EQ(manager.watchedBytes(), 128u);
@@ -189,7 +189,7 @@ TEST_F(WatchManagerTest, UnwatchWhileScrubParkedCancelsTheRestore)
 {
     manager.watch(region, 64, WatchKind::FreedBuffer, 1);
     manager.watch(region + kPageSize, 64, WatchKind::LeakSuspect, 2);
-    manager.parkAllForScrub(0);
+    manager.parkAllForScrub();
 
     // A detector may legitimately drop a watch mid-scrub (e.g. a freed
     // block is recycled); the parked entry must be cancelled, not
@@ -198,7 +198,7 @@ TEST_F(WatchManagerTest, UnwatchWhileScrubParkedCancelsTheRestore)
     EXPECT_FALSE(manager.isWatched(region));
     EXPECT_EQ(manager.stats().get("parked_regions_cancelled"), 1u);
 
-    manager.restoreAfterScrub(0);
+    manager.restoreAfterScrub();
     EXPECT_FALSE(manager.isWatched(region));
     EXPECT_TRUE(manager.isWatched(region + kPageSize));
     EXPECT_EQ(manager.regionCount(), 1u);

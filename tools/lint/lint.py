@@ -43,23 +43,15 @@ Rules (scoped to ``src/`` unless noted):
                    like method declarations and are not inspected.
   lock-order       Lock acquisitions inside one function must follow the
                    declared hierarchy (outermost first): watch-manager
-                   park -> bank lock -> memory-bus lock.  Acquiring a
-                   lock at the same or an outer level while an inner one
-                   is held (including double acquisition) is flagged;
+                   park -> memory-bus lock.  Acquiring a lock at the
+                   same or an outer level while an inner one is held
+                   (including double acquisition) is flagged;
                    ``// lint: lock-order`` on the acquisition line waives
                    a deliberate exception.  Checked textually per
                    function: explicit pairs (``lockBus``/``unlockBus``,
-                   ``parkAllForScrub``/``restoreAfterScrub``) and scoped
-                   guards (``BusLockGuard``/``BankLockGuard``), with
-                   scope-exit treated as release.
-  bank-encapsulation  No direct whole-bus locking outside ``src/mem/``:
-                   ``lockBus()``/``unlockBus()`` call sites, the
-                   ``BusLockGuard``, and the controller's private
-                   ``busLocked_`` flag are the banks' own roll-up
-                   machinery.  Code elsewhere locks the banks it spans
-                   (``BankLockGuard`` / ``BankSetLockGuard`` over
-                   ``bankMaskForSpan``); the read-only ``busLocked()``
-                   query stays fine.
+                   ``parkAllForScrub``/``restoreAfterScrub``) and the
+                   scoped ``BusLockGuard``, with scope-exit treated as
+                   release.
   toolkind-plumbing  Every ``ToolKind`` enumerator declared in
                    ``src/workloads/driver.h`` must be named (as
                    ``ToolKind::<Name>``) in the driver's name table and
@@ -467,8 +459,6 @@ LOCK_ORDER_WAIVER = "lint: lock-order"
 # Explicit pairs release by name; RAII guards release at scope exit.
 LOCK_HIERARCHY = [
     ("watch-park", "parkAllForScrub", "restoreAfterScrub", ()),
-    ("bank-lock", "lockBank", "unlockBank",
-     ("BankLockGuard", "BankSetLockGuard")),
     ("bus-lock", "lockBus", "unlockBus", ("BusLockGuard",)),
 ]
 
@@ -603,40 +593,14 @@ def check_lock_order(rel, stripped, raw, violations):
                         rel, lineno, "lock-order",
                         f"acquires {LOCK_HIERARCHY[level][0]} while holding "
                         f"{held_name}: the hierarchy is watch-park > "
-                        "bank-lock > bus-lock (outermost first), and a held "
-                        "level may never be re-acquired"))
+                        "bus-lock (outermost first), and a held level may "
+                        "never be re-acquired"))
                 held.append((level, depth))
             else:  # release: drop the most recent hold of that level
                 for i in range(len(held) - 1, -1, -1):
                     if held[i][0] == level:
                         del held[i]
                         break
-
-
-# The whole-bus lock is the banks' own roll-up machinery: lockBus()
-# iterates lockBank() over every bank, and busLocked_ no longer exists
-# outside MemoryBank. Code outside src/mem/ that wants traffic stopped
-# locks exactly the banks it spans.
-BANK_ENCAPSULATION = re.compile(
-    r"\b(?P<name>lockBus|unlockBus)\s*\(|"
-    r"\b(?P<member>busLocked_)\b|"
-    r"\b(?P<guard>BusLockGuard)\s+\w+\s*[({]")
-
-
-def check_bank_encapsulation(rel, stripped, violations):
-    if not rel.startswith("src/") or rel.startswith("src/mem/"):
-        return
-    for lineno, line in enumerate(stripped.splitlines(), 1):
-        for m in BANK_ENCAPSULATION.finditer(line):
-            if m.group("name") and not _is_lock_call_site(line, m.start()):
-                continue  # a declaration, not a call
-            what = m.group("name") or m.group("member") or m.group("guard")
-            violations.append(Violation(
-                rel, lineno, "bank-encapsulation",
-                f"direct whole-bus locking ('{what}') outside src/mem/: "
-                "lock the banks the access spans instead (BankLockGuard "
-                "/ BankSetLockGuard over bankMaskForSpan)"))
-            break
 
 
 def check_header_docs(rel, raw, violations):
@@ -719,7 +683,6 @@ def lint_file(root, rel, violations):
     check_string_trace_payload(rel, stripped, violations)
     check_single_space_kernel(rel, stripped, violations)
     check_codeword_arithmetic(rel, stripped, violations)
-    check_bank_encapsulation(rel, stripped, violations)
     check_unguarded_shared_state(rel, stripped, raw, violations)
     check_lock_order(rel, stripped, raw, violations)
 
@@ -825,12 +788,6 @@ SEEDED_SOURCES = {
         "  private:\n"
         "    safemem::Mutex mutex_;\n"
         "    int count_ = 0;\n};\n"),
-    "src/os/bad_bus_poke.cc": (
-        "bank-encapsulation",
-        '#include "mem/memory_controller.h"\n'
-        "void stall(safemem::MemoryController &c)\n{\n"
-        "    c.lockBus();\n"
-        "    c.unlockBus();\n}\n"),
     "src/mem/bad_lock_order.cc": (
         "lock-order",
         '#include "mem/memory_controller.h"\n'
@@ -914,8 +871,7 @@ CLEAN_SOURCES = [
      "           machine.kernel().pageTable().size();\n}\n"),
     # Disciplined locking the lock-order rule must accept: hierarchy
     # order with a scoped guard, release-then-reacquire of one level,
-    # and a deliberate (waived) inversion. Lives in src/mem/ because
-    # whole-bus locking is banned everywhere else (bank-encapsulation).
+    # and a deliberate (waived) inversion.
     ("src/mem/clean_lock_discipline.cc",
      '#include "mem/memory_controller.h"\n'
      '#include "safemem/watch_manager.h"\n'
@@ -937,14 +893,6 @@ CLEAN_SOURCES = [
      "    w.parkAllForScrub(); // lint: lock-order\n"
      "    w.restoreAfterScrub();\n"
      "    c.unlockBus();\n}\n"),
-    # The sanctioned banked path outside src/mem/: lock the spanned
-    # banks, query (but never flip) the whole-bus view.
-    ("src/os/clean_bank_span.cc",
-     '#include "mem/memory_controller.h"\n'
-     "bool spanStalled(safemem::MemoryController &c, safemem::PhysAddr a)\n"
-     "{\n"
-     "    safemem::BankSetLockGuard banks(c, c.bankMaskForSpan(a, 4096));\n"
-     "    return c.busLocked() || c.anyBankLocked();\n}\n"),
     # The toolkind-plumbing seed tree: a two-enumerator ToolKind whose
     # driver and CLI mirrors name everything (the report-writer mirror
     # in SEEDED_SOURCES drops one and must be flagged).
