@@ -90,7 +90,8 @@ runWith(std::uint32_t padding_granules)
 int
 main()
 {
-    setLogQuiet(true);
+    const Log quiet = Log::quiet();
+    LogScope scope(quiet);
     std::printf("Ablation: guard padding width (ECC backend, 64 B "
                 "granule)\n\n");
     std::printf("%-14s %20s %14s\n", "guard lines",

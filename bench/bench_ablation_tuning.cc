@@ -44,7 +44,8 @@ runLeakServer(SafeMemTool &tool, Machine &machine, ShadowStack &stack,
 int
 main()
 {
-    setLogQuiet(true);
+    const Log quiet = Log::quiet();
+    LogScope scope(quiet);
 
     std::printf("Ablation 1: checking period vs detection latency "
                 "(synthetic SLeak server)\n\n");

@@ -10,8 +10,9 @@
  * separately. The word cell's byte ledger is the analytic per-word
  * SEC-DED cost (one check byte per 64-bit group, both directions).
  *
- * Every cell is computed twice — serially and on a thread pool — and
- * the two results must be bit-identical for any worker count.
+ * Every cell is computed twice — serially and fanned out across worker
+ * threads — and the two results must be bit-identical for any worker
+ * count.
  *
  *   build/bench/bench_ecc_tradeoff                # human-readable
  *   build/bench/bench_ecc_tradeoff --json         # BENCH shape
@@ -21,15 +22,14 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "alloc/heap_allocator.h"
+#include "common/parallel_for.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "ecc/geometry.h"
+#include "ecc/parse_number.h"
 #include "os/machine.h"
 
 using namespace safemem;
@@ -170,15 +170,16 @@ main(int argc, char **argv)
     std::uint64_t batches = 24;
     unsigned workers = 4;
 
+    // A flag whose value is missing or not a whole number in range
+    // falls through to the usage line.
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json") {
             json = true;
-        } else if (arg == "--batches" && i + 1 < argc) {
-            batches = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--workers" && i + 1 < argc) {
-            workers = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+        } else if (arg == "--batches" && i + 1 < argc &&
+                   parseWholeNumber(argv[++i], batches)) {
+        } else if (arg == "--workers" && i + 1 < argc &&
+                   parseWholeNumber(argv[++i], workers)) {
         } else {
             std::fprintf(stderr, "usage: bench_ecc_tradeoff [--json] "
                                  "[--batches <n>] [--workers <n>]\n");
@@ -199,8 +200,8 @@ main(int argc, char **argv)
         }
     }
 
-    // Serial pass (timed per cell), then the same cells fanned out on a
-    // pool: worker threads must not move a single byte of any result.
+    // Serial pass (timed per cell), then the same cells fanned out
+    // across workers: threads must not move a single byte of any result.
     std::vector<CellResult> serial(specs.size());
     std::vector<double> seconds(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
@@ -211,14 +212,9 @@ main(int argc, char **argv)
     }
 
     std::vector<CellResult> parallel(specs.size());
-    {
-        ThreadPool pool(workers);
-        for (std::size_t i = 0; i < specs.size(); ++i)
-            pool.submit([&, i] {
-                parallel[i] = runCell(specs[i], batches, seed);
-            });
-        pool.drain();
-    }
+    parallelFor(specs.size(), workers, [&](std::size_t i) {
+        parallel[i] = runCell(specs[i], batches, seed);
+    });
 
     bool all_identical = true;
     for (std::size_t i = 0; i < specs.size(); ++i)

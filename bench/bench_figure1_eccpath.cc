@@ -33,7 +33,8 @@ expect(bool condition, const char *what)
 int
 main()
 {
-    setLogQuiet(true);
+    const Log quiet = Log::quiet();
+    LogScope scope(quiet);
     CycleClock clock;
     PhysicalMemory memory(1 << 20);
     MemoryController controller(memory, clock);

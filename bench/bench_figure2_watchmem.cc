@@ -28,7 +28,8 @@ expect(bool condition, const char *what)
 int
 main()
 {
-    setLogQuiet(true);
+    const Log quiet = Log::quiet();
+    LogScope scope(quiet);
     Machine machine;
     Kernel &kernel = machine.kernel();
     const ScramblePattern &pattern = kernel.scramblePattern();

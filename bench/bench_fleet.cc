@@ -19,11 +19,11 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <string>
 
 #include "common/logging.h"
+#include "ecc/parse_number.h"
 #include "workloads/fleet.h"
 
 using namespace safemem;
@@ -37,21 +37,20 @@ main(int argc, char **argv)
     config.workers = 0;       // all cores
     config.verifyWorkers = 1; // serial re-run proves pool independence
 
+    // A flag whose value is missing or not a whole number in range
+    // falls through to the usage line.
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json") {
             json = true;
-        } else if (arg == "--requests" && i + 1 < argc) {
-            config.requests = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--seeds" && i + 1 < argc) {
-            config.seeds = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--procs" && i + 1 < argc) {
-            config.procs = static_cast<std::uint32_t>(
-                std::strtoul(argv[++i], nullptr, 10));
-        } else if (arg == "--workers" && i + 1 < argc) {
-            config.workers = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+        } else if (arg == "--requests" && i + 1 < argc &&
+                   parseWholeNumber(argv[++i], config.requests)) {
+        } else if (arg == "--seeds" && i + 1 < argc &&
+                   parseWholeNumber(argv[++i], config.seeds)) {
+        } else if (arg == "--procs" && i + 1 < argc &&
+                   parseWholeNumber(argv[++i], config.procs)) {
+        } else if (arg == "--workers" && i + 1 < argc &&
+                   parseWholeNumber(argv[++i], config.workers)) {
         } else if (arg == "--no-verify") {
             config.verifyWorkers = 0;
         } else {

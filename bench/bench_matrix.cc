@@ -17,13 +17,13 @@
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
+#include "ecc/parse_number.h"
 #include "workloads/driver.h"
 
 using namespace safemem;
@@ -73,15 +73,16 @@ main(int argc, char **argv)
     std::uint64_t requests = 0; // 0 = paper defaults
     unsigned workers = 0;       // 0 = all cores
 
+    // A flag whose value is missing or not a whole number in range
+    // falls through to the usage line.
     for (int i = 1; i < argc; ++i) {
         const std::string arg = argv[i];
         if (arg == "--json") {
             json = true;
-        } else if (arg == "--requests" && i + 1 < argc) {
-            requests = std::strtoull(argv[++i], nullptr, 10);
-        } else if (arg == "--workers" && i + 1 < argc) {
-            workers = static_cast<unsigned>(
-                std::strtoul(argv[++i], nullptr, 10));
+        } else if (arg == "--requests" && i + 1 < argc &&
+                   parseWholeNumber(argv[++i], requests)) {
+        } else if (arg == "--workers" && i + 1 < argc &&
+                   parseWholeNumber(argv[++i], workers)) {
         } else {
             std::fprintf(stderr,
                          "usage: bench_matrix [--json] [--requests <n>] "
@@ -92,8 +93,7 @@ main(int argc, char **argv)
 
     const Log quiet = Log::quiet();
     const std::vector<RunSpec> specs = table3Specs(quiet, requests);
-    const unsigned resolved =
-        ThreadPool::clampWorkers(workers, specs.size());
+    const unsigned resolved = clampWorkers(workers, specs.size());
 
     std::vector<MatrixCell> serial;
     std::vector<MatrixCell> parallel;

@@ -96,7 +96,8 @@ BENCHMARK(BM_Mprotect)->Arg(1)->Arg(4)->Arg(16);
 int
 main(int argc, char **argv)
 {
-    safemem::setLogQuiet(true);
+    const safemem::Log quiet = safemem::Log::quiet();
+    safemem::LogScope scope(quiet);
     benchmark::Initialize(&argc, argv);
     benchmark::RunSpecifiedBenchmarks();
 

@@ -7,43 +7,45 @@
 #   4. TSan configuration — full ctest under ThreadSanitizer; the matrix
 #                           tests drive concurrent machines, so this is
 #                           the data-race gate for the parallel harness
-#   5. bench smoke        — bench_hotpath --json and bench_matrix --json;
-#                           fail on malformed JSON or missing keys
-#   5b. campaign smoke    — safemem_run campaign over the codec zoo:
+#   5. matrix smoke       — bench_matrix --json; fail on malformed JSON,
+#                           missing keys or a parallel sweep that moved
+#   6. campaign smoke     — safemem_run campaign over the codec zoo:
 #                           JSON shape, scramble verdicts, worker-count
 #                           independence (byte-identical files), and the
 #                           committed BENCH_ecc_campaign.json reproduced
 #                           byte for byte
-#   5c. perfbench smoke   — build perfbench/ (its own CMake package over
+#   7. perfbench smoke    — build perfbench/ (its own CMake package over
 #                           src/) into build-perfbench/ and run one short
 #                           pass per workload, the machine workloads
 #                           traced so their equivalence gate runs, and
 #                           their seed-42 `simulated:` lines equal to
 #                           tests/data/perfbench_simulated_seed42.txt
-#   6. trace smoke        — a traced safemem_run workload decoded with
+#   8. trace smoke        — a traced safemem_run workload decoded with
 #                           trace_dump (records + --summary); fail on
 #                           malformed JSON-lines
-#   7. multiproc smoke    — the full app sweep at --procs 2 must produce
+#   9. multiproc smoke    — the full app sweep at --procs 2 must produce
 #                           byte-identical reports for any worker count
-#   7b. fleet smoke       — a reduced bench_fleet sampled-monitoring
+#  10. fleet smoke        — a reduced bench_fleet sampled-monitoring
 #                           sweep: byte-identical JSON for any worker
 #                           count, pinned cell shape, overhead ordering;
-#                           and the committed BENCH_fleet.json
-#                           reproduced byte for byte
-#   7c. tradeoff smoke    — bench_ecc_tradeoff: byte-identical JSON for
+#                           a malformed flag value rejected; and the
+#                           committed BENCH_fleet.json reproduced byte
+#                           for byte
+#  11. tradeoff smoke     — bench_ecc_tradeoff: byte-identical JSON for
 #                           any worker count, redundancy overhead falling
 #                           with codeword size, decode/RMW accounting,
 #                           --geometry word bit-identical to the
 #                           pre-geometry golden sweep, and the committed
 #                           BENCH_ecc_tradeoff.json reproduced byte for
 #                           byte
-#   8. notrace build      — library/tools compile with -DSAFEMEM_TRACE=OFF
-#   9. static analysis    — -Wthread-safety build (clang++), clang-tidy
-#                           gauntlet, negative-compile proof, repo lint;
-#                           the Clang-only pieces SKIP with a visible
-#                           warning on GCC-only hosts
-#  10. repo lint          — tools/lint/lint.py over the tree + self-test
-#  11. format check       — scripts/check_format.sh (skips w/o clang-format)
+#  12. notrace build      — library/tools compile with -DSAFEMEM_TRACE=OFF
+#  13. static analysis    — -Wthread-safety build (clang++), clang-tidy
+#                           gauntlet, negative-compile proof; the
+#                           Clang-only pieces SKIP with a visible warning
+#                           on GCC-only hosts
+#  14. repo lint          — tools/lint/lint.py over the tree
+#  15. lint self-test     — tools/lint/lint.py --self-test
+#  16. format check       — scripts/check_format.sh (skips w/o clang-format)
 #
 # Every stage runs even when an earlier one fails; the exit status is
 # non-zero if any stage failed.
@@ -72,34 +74,6 @@ build_and_test() {
     cmake -B "$dir" -S . "$@" &&
         cmake --build "$dir" -j "$JOBS" &&
         ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
-}
-
-bench_smoke() {
-    # A fast run is enough to validate the report shape; the committed
-    # BENCH_hotpath.json baseline is produced from a full run instead.
-    local out=build/bench/BENCH_hotpath_smoke.json
-    build/bench/bench_hotpath --json --out "$out" --accesses 200000 \
-        >/dev/null &&
-        python3 - "$out" <<'PYEOF'
-import json
-import sys
-
-with open(sys.argv[1]) as fh:
-    doc = json.load(fh)
-
-for key in ("bench", "word_accesses", "phases", "total_accesses",
-            "total_wall_seconds", "simulated_cycles_total"):
-    assert key in doc, f"missing top-level key: {key}"
-assert doc["bench"] == "hotpath"
-assert doc["phases"], "no phases recorded"
-for phase in doc["phases"]:
-    for key in ("name", "accesses", "bytes", "wall_seconds",
-                "ms_per_million_accesses", "hits", "misses", "hit_rate",
-                "simulated_cycles"):
-        assert key in phase, f"missing phase key: {key}"
-print(f"bench smoke: {len(doc['phases'])} phases, "
-      f"{doc['simulated_cycles_total']} simulated cycles")
-PYEOF
 }
 
 matrix_smoke() {
@@ -304,7 +278,8 @@ fleet_smoke() {
     # must produce byte-identical JSON for any worker count (the JSON
     # deliberately carries no wall-clock fields), report the expected
     # cell set and shape, and survive its own in-process worker-count
-    # identity check (non-zero exit otherwise). At its defaults the
+    # identity check (non-zero exit otherwise). A flag value with junk
+    # after the number must be refused, not run. At its defaults the
     # bench must reproduce the committed BENCH_fleet.json byte for byte.
     local one=build/bench/BENCH_fleet_smoke_w1.json
     local four=build/bench/BENCH_fleet_smoke_w4.json
@@ -318,6 +293,10 @@ fleet_smoke() {
         else
             echo "fleet smoke: worker count changed the results:"
             diff "$one" "$four" | head -20
+            return 1
+        fi &&
+        if build/bench/bench_fleet --requests 5x >/dev/null 2>&1; then
+            echo "fleet smoke: bench_fleet ran with --requests 5x"
             return 1
         fi &&
         build/bench/bench_fleet --json >"$committed" &&
@@ -504,9 +483,6 @@ static_analysis() {
     if [ "$rc" -ne 0 ] && [ "$rc" -ne 77 ]; then
         status=1
     fi
-
-    python3 tools/lint/lint.py --root . || status=1
-    python3 tools/lint/lint.py --self-test || status=1
     return "$status"
 }
 
@@ -514,7 +490,6 @@ stage "tier-1 (default build + ctest)" build_and_test build
 stage "asan ctest" build_and_test build-asan -DSAFEMEM_ASAN=ON
 stage "ubsan ctest" build_and_test build-ubsan -DSAFEMEM_UBSAN=ON
 stage "tsan ctest" build_and_test build-tsan -DSAFEMEM_TSAN=ON
-stage "bench smoke (hotpath --json)" bench_smoke
 stage "bench smoke (matrix --json)" matrix_smoke
 stage "campaign smoke (ecc codec zoo)" campaign_smoke
 stage "perfbench smoke (perfbench/run.py, every workload)" perfbench_smoke

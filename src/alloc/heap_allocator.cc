@@ -58,7 +58,6 @@ HeapAllocator::allocate(std::size_t size, std::size_t alignment)
         panic("HeapAllocator: alignment ", alignment, " not a power of two");
 
     stats_.add(AllocStat::Allocs);
-    totalRequested_ += size;
 
     VirtAddr addr;
     std::size_t capacity;
@@ -131,7 +130,6 @@ HeapAllocator::reallocate(VirtAddr addr, std::size_t new_size,
         liveBytes_ += new_size;
         liveBytes_ -= old_size;
         peakLiveBytes_ = std::max(peakLiveBytes_, liveBytes_);
-        totalRequested_ += new_size > old_size ? new_size - old_size : 0;
         it->second.requested = new_size;
         noteMutation();
         return addr;

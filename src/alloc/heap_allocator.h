@@ -112,9 +112,6 @@ class HeapAllocator
     /** @return high-water mark of liveBytes(). */
     std::uint64_t peakLiveBytes() const { return peakLiveBytes_; }
 
-    /** @return cumulative bytes ever requested. */
-    std::uint64_t totalRequestedBytes() const { return totalRequested_; }
-
     /** @return allocator statistics. */
     const StatSet &stats() const { return stats_; }
 
@@ -168,7 +165,6 @@ class HeapAllocator
 
     std::uint64_t liveBytes_ = 0;
     std::uint64_t peakLiveBytes_ = 0;
-    std::uint64_t totalRequested_ = 0;
     std::uint32_t mutationsSinceAudit_ = 0;
     StatSet stats_{kAllocStatNames};
 };

@@ -1,16 +1,10 @@
 #include "common/logging.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace safemem {
 
 namespace {
-
-// The deprecated process-wide quiet flag (setLogQuiet shim). Atomic so a
-// legacy caller flipping it while worker threads run is a defined race;
-// new code routes per-run sinks through LogScope and never touches it.
-std::atomic<bool> g_defaultQuiet{false};
 
 // The active sink of *this* thread, installed by LogScope. thread_local
 // keeps concurrent runs' sinks independent without any locking.
@@ -53,31 +47,19 @@ LogScope::~LogScope()
     t_threadLog = previous_;
 }
 
+const Log *
+currentLog()
+{
+    return t_threadLog;
+}
+
 void
 logMessage(LogLevel level, const std::string &msg)
 {
-    if (const Log *scoped = t_threadLog) {
-        scoped->message(level, msg);
-        return;
-    }
-    // Scope-less default: stderr, gated by the deprecated quiet shim.
-    // Quiet silences everything — panic/fatal text still reaches the
-    // caller inside the thrown exception.
-    if (g_defaultQuiet.load(std::memory_order_relaxed))
-        return;
-    std::fprintf(stderr, "[%s] %s\n", logLevelTag(level), msg.c_str());
-}
-
-void
-setLogQuiet(bool quiet)
-{
-    g_defaultQuiet.store(quiet, std::memory_order_relaxed);
-}
-
-bool
-logQuiet()
-{
-    return g_defaultQuiet.load(std::memory_order_relaxed);
+    if (t_threadLog)
+        t_threadLog->message(level, msg);
+    else
+        Log().message(level, msg);
 }
 
 } // namespace safemem

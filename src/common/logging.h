@@ -9,10 +9,8 @@
  * Routing is instance-safe: a run installs a LogScope on its thread and
  * every message emitted by simulator code on that thread goes to the
  * scope's Log sink. Concurrent runs on different threads therefore keep
- * independent sinks — nothing is shared. Threads without a scope fall
- * back to a stderr default, gated by the deprecated process-wide quiet
- * flag (setLogQuiet), which is kept only for the CLI flag and legacy
- * single-run callers.
+ * independent sinks — nothing is shared. A thread without a scope logs
+ * to stderr; there is no process-wide quiet state.
  */
 
 #pragma once
@@ -104,26 +102,22 @@ class LogScope
 };
 
 /**
+ * @return the Log installed by this thread's innermost LogScope, or null
+ * when none is (messages then go to stderr). parallelFor workers and
+ * runConsolidated's process threads install the caller's sink through
+ * this, so parallel workers share the caller's sink: a custom sink must
+ * then synchronise internally, as Log requires.
+ */
+const Log *currentLog();
+
+/**
  * Route a formatted message to the current thread's LogScope sink, or
- * to the process-wide stderr default when no scope is installed.
+ * to stderr when no scope is installed.
  *
  * @param level  Severity tag prepended to the line.
  * @param msg    Fully formatted message body.
  */
 void logMessage(LogLevel level, const std::string &msg);
-
-/**
- * Silence or re-enable the *default* (scope-less) stderr sink.
- *
- * @deprecated Process-wide state, kept only for the CLI and legacy
- * single-run callers. New code passes a Log through RunParams /
- * MachineConfig (or installs a LogScope) so concurrent runs do not
- * share quiet state.
- */
-void setLogQuiet(bool quiet);
-
-/** @return true when the scope-less default sink is suppressed. */
-bool logQuiet();
 
 namespace detail {
 

@@ -1,14 +1,13 @@
 /**
  * @file
  * Lightweight statistics: fixed-slot (enum-indexed) counters with a name
- * table for reporting, a string-keyed fallback for cold/ad-hoc counters,
- * plus a fixed-bucket histogram used by the lifetime analysis.
+ * table for reporting, plus a fixed-bucket histogram used by the
+ * lifetime analysis.
  *
- * Per-access paths (cache hits, TLB lookups, Purify checks) account
- * through enum slots: `stats_.add(CacheStat::Hits)` is one array
- * increment, fully inlineable. The registered name table keeps every
- * counter visible under its historical string key, so driver snapshots
- * (`all()`), `get("hits")` assertions and the report writer see exactly
+ * Every counter is an enum slot: `stats_.add(CacheStat::Hits)` is one
+ * array increment, fully inlineable. The registered name table keeps
+ * every counter visible under its historical string key, so driver
+ * snapshots (`all()`), `get("hits")` reads and the report writer see
  * the same name->value map the old string-keyed implementation produced.
  */
 
@@ -28,9 +27,8 @@ namespace safemem {
  * experiment driver snapshots them into its result records.
  *
  * A StatSet constructed with a slot-name table owns one flat counter per
- * name; those counters are addressed by enum on hot paths and remain
- * addressable by string everywhere else (both views share storage).
- * Names not in the table fall back to a std::map, as before.
+ * name. Writes address a counter by its enum; reads may also name it by
+ * string (reporting, tests), which resolves to the same slot.
  */
 class StatSet
 {
@@ -45,9 +43,6 @@ class StatSet
     explicit StatSet(const char *const (&names)[N])
         : slotNames_(names, names + N), slotValues_(N, 0), slotTouched_(N, 0)
     {}
-
-    /** @name Enum-indexed hot path (registered slots only) */
-    /// @{
 
     /** Add @p delta to the slot @p stat indexes. */
     template <typename E,
@@ -92,78 +87,36 @@ class StatSet
     {
         return slotValues_[static_cast<std::size_t>(stat)];
     }
-    /// @}
 
-    /** @name String-keyed view (cold paths, reporting, tests)
-     * Registered names resolve to their slot, so both views always
-     * agree; unregistered names live in the fallback map. */
-    /// @{
-
-    /** Add @p delta to the counter named @p name (created on first use). */
-    void
-    add(const std::string &name, std::uint64_t delta = 1)
-    {
-        if (std::size_t idx; findSlot(name, idx)) {
-            slotTouched_[idx] = 1;
-            slotValues_[idx] += delta;
-        } else {
-            counters_[name] += delta;
-        }
-    }
-
-    /** Overwrite the counter named @p name with @p value. */
-    void
-    set(const std::string &name, std::uint64_t value)
-    {
-        if (std::size_t idx; findSlot(name, idx)) {
-            slotTouched_[idx] = 1;
-            slotValues_[idx] = value;
-        } else {
-            counters_[name] = value;
-        }
-    }
-
-    /** Track the maximum of values reported for @p name. */
-    void
-    maxOf(const std::string &name, std::uint64_t value)
-    {
-        if (std::size_t idx; findSlot(name, idx)) {
-            if (!slotTouched_[idx] || slotValues_[idx] < value) {
-                slotTouched_[idx] = 1;
-                slotValues_[idx] = value;
-            }
-        } else {
-            auto it = counters_.find(name);
-            if (it == counters_.end() || it->second < value)
-                counters_[name] = value;
-        }
-    }
-
-    /** @return the counter value, or 0 when never touched. */
+    /**
+     * @return the value of the slot named @p name — the read-only
+     * reporting view — or 0 when it was never touched or no slot has
+     * that name.
+     */
     std::uint64_t
     get(const std::string &name) const
     {
-        if (std::size_t idx; findSlot(name, idx))
-            return slotValues_[idx];
-        auto it = counters_.find(name);
-        return it == counters_.end() ? 0 : it->second;
+        for (std::size_t i = 0; i < slotNames_.size(); ++i) {
+            if (std::strcmp(slotNames_[i], name.c_str()) == 0)
+                return slotValues_[i];
+        }
+        return 0;
     }
-    /// @}
 
     /**
-     * Snapshot every counter, sorted by name: touched slots under their
-     * registered names merged with the fallback map. Untouched slots are
-     * omitted, matching the old created-on-first-use behaviour.
+     * Snapshot every touched slot under its registered name, sorted by
+     * name. Untouched slots are omitted, matching the old
+     * created-on-first-use behaviour.
      */
     std::map<std::string, std::uint64_t>
     all() const
     {
-        std::map<std::string, std::uint64_t> merged(counters_);
+        std::map<std::string, std::uint64_t> snapshot;
         for (std::size_t i = 0; i < slotNames_.size(); ++i) {
             if (slotTouched_[i])
-                merged[slotNames_[i]] = slotValues_[i];
+                snapshot[slotNames_[i]] = slotValues_[i];
         }
-        return merged;
+        return snapshot;
     }
 
     /** @return the registered slot-name table (reporting, tests). */
@@ -173,31 +126,15 @@ class StatSet
     void
     clear()
     {
-        counters_.clear();
         slotValues_.assign(slotValues_.size(), 0);
         slotTouched_.assign(slotTouched_.size(), 0);
     }
 
   private:
-    /** @return true (and the index) when @p name is a registered slot. */
-    bool
-    findSlot(const std::string &name, std::size_t &idx) const
-    {
-        for (std::size_t i = 0; i < slotNames_.size(); ++i) {
-            if (std::strcmp(slotNames_[i], name.c_str()) == 0) {
-                idx = i;
-                return true;
-            }
-        }
-        return false;
-    }
-
     std::vector<const char *> slotNames_;
     std::vector<std::uint64_t> slotValues_;
     /** Slot ever written? Distinguishes "0" from "never touched". */
     std::vector<std::uint8_t> slotTouched_;
-    /** Fallback for names outside the registered table. */
-    std::map<std::string, std::uint64_t> counters_;
 };
 
 /**
@@ -254,9 +191,6 @@ class Histogram
         }
         return below / static_cast<double>(count_);
     }
-
-    /** @return the configured bucket width. */
-    std::uint64_t bucketWidth() const { return bucketWidth_; }
 
   private:
     std::uint64_t bucketWidth_;

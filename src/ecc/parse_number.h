@@ -13,9 +13,10 @@ namespace safemem {
 
 /**
  * @return @p text as a T when the whole of it is a decimal number T can
- * hold; nullopt for an empty string, a space, a suffix, a plus sign, a
- * minus sign on an unsigned T, or a value out of T's range — so nothing
- * is silently truncated, skipped or narrowed.
+ * hold (for a floating T, `0.25` or `1e-3`, but no hex form); nullopt
+ * for an empty string, a space, a suffix, a plus sign, a minus sign on
+ * an unsigned T, or a value out of T's range — so nothing is silently
+ * truncated, skipped or narrowed.
  */
 template <typename T>
 std::optional<T>
@@ -27,6 +28,20 @@ parseWholeNumber(std::string_view text)
     if (error != std::errc{} || stop != end)
         return std::nullopt;
     return value;
+}
+
+/**
+ * Store parseWholeNumber<T>(@p text) in @p out. @return false, leaving
+ * @p out untouched, when @p text is not a whole number T can hold.
+ */
+template <typename T>
+bool
+parseWholeNumber(std::string_view text, T &out)
+{
+    std::optional<T> value = parseWholeNumber<T>(text);
+    if (value)
+        out = *value;
+    return value.has_value();
 }
 
 } // namespace safemem

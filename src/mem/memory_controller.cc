@@ -455,13 +455,6 @@ MemoryController::peekWord(PhysAddr word_addr) const
 }
 
 void
-MemoryController::peekLine(PhysAddr line_addr, LineData &out) const
-{
-    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-        setLineWord(out, i, memory_.readWord(line_addr + i * kEccGroupSize));
-}
-
-void
 MemoryController::scrubRange(PhysAddr start_line, std::size_t lines)
 {
     // The scrub engine is a bus agent like the cache: while the kernel

@@ -177,9 +177,6 @@ class MemoryController
     /** Uncharged, unchecked word read (kernel save path, tests). */
     std::uint64_t peekWord(PhysAddr word_addr) const;
 
-    /** Uncharged, unchecked line read (kernel save path, tests). */
-    void peekLine(PhysAddr line_addr, LineData &out) const;
-
     /**
      * Scrub @p lines cache lines starting at @p start_line: decode every
      * group, rewrite corrected singles, raise ScrubMultiBit interrupts on

@@ -87,9 +87,6 @@ class Kernel
     Process &process(Pid pid);
     const Process &process(Pid pid) const;
 
-    /** @return number of processes ever created (zombies included). */
-    std::size_t processCount() const { return processes_.size(); }
-
     /**
      * @return true when it is safe to context-switch: not inside a scrub
      * pass and not dispatching an interrupt. The Machine's scheduling
@@ -259,17 +256,6 @@ class Kernel
     /** @return machine-wide kernel statistics (sum over processes plus
      *  machine-global events like scrub passes). */
     const StatSet &stats() const { return stats_; }
-
-    /** @return the current process's page table (inspection in tests;
-     *  code outside src/os/ goes through the Process seam instead). */
-    const PageTable &pageTable() const
-    {
-        return current_->space_.pageTable;
-    }
-
-    /** @return the current process's TLB (stats inspection in tests;
-     *  code outside src/os/ goes through the Process seam instead). */
-    const Tlb &tlb() const { return current_->space_.tlb; }
 
   private:
     void onEccInterrupt(const EccFaultInfo &info);

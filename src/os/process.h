@@ -12,10 +12,10 @@
  * resources (consolidation is the point — many watch sets, one scrubber).
  *
  * Everything here is kernel-internal state: only the Kernel mutates a
- * Process. The public const accessors are the inspection seam the run
- * harness and tests use (per-process stats, per-process TLB counters);
- * the repo lint rule `single-space-kernel` pushes code outside src/os/
- * through this seam instead of the legacy single-space kernel accessors.
+ * Process. The public const accessors are the one inspection seam the
+ * run harness and tests use (per-process stats, page table and TLB
+ * counters), reached through Kernel::currentProcess() or
+ * Kernel::process(pid).
  */
 
 #pragma once

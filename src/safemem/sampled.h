@@ -82,9 +82,6 @@ class SampledSafeMemTool : public SafeMemTool
     static bool sampleDecision(std::uint64_t seed, Pid pid,
                                std::uint64_t ordinal, double rate);
 
-    /** @return allocations decided so far (the ordinal counter). */
-    std::uint64_t allocationOrdinal() const { return ordinal_; }
-
     /** @return sampling statistics (sampled/unsampled traffic split). */
     const StatSet &samplingStats() const { return stats_; }
 

@@ -68,9 +68,9 @@ struct RunParams
     /**
      * Per-run log sink (must outlive the run); the driver routes every
      * message the run emits — kernel warnings, SimCheck reports — to
-     * it, so concurrent runs cannot interleave or share quiet state.
-     * Null: the process-default sink, gated by the deprecated
-     * setLogQuiet() shim.
+     * it, so concurrent runs cannot interleave. Null: the sink of the
+     * calling thread's LogScope, which runMatrix workers and
+     * consolidated process threads inherit, or stderr without one.
      */
     const Log *log = nullptr;
     /**

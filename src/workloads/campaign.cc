@@ -6,14 +6,13 @@
 #include "workloads/campaign.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cinttypes>
 #include <cstdio>
 #include <memory>
 #include <sstream>
 
+#include "common/parallel_for.h"
 #include "common/random.h"
-#include "common/thread_pool.h"
 #include "ecc/scramble.h"
 
 namespace safemem {
@@ -237,9 +236,9 @@ runCampaign(const CampaignConfig &config)
             1 + 2 * static_cast<std::size_t>(config.maxErrors));
     }
 
-    // One job per cell, claimed from a shared cursor exactly like
-    // runMatrix(); a cell is a pure function of (seed, global index),
-    // so the worker count only moves the wall clock.
+    // One job per cell, fanned out by parallelFor like runMatrix(); a
+    // cell is a pure function of (seed, global index), so the worker
+    // count only moves the wall clock.
     struct Job
     {
         std::size_t codec;
@@ -257,34 +256,12 @@ runCampaign(const CampaignConfig &config)
             jobs.push_back({c, slot++, FailMode::RandomBurst, e});
     }
 
-    auto runJob = [&](std::size_t index) {
+    parallelFor(jobs.size(), config.workers, [&](std::size_t index) {
         const Job &job = jobs[index];
         result.codecs[job.codec].cells[job.cell] =
             runCell(*codecs[job.codec], job.mode, job.errors,
                     config.samples, config.seed, index);
-    };
-
-    unsigned workers = ThreadPool::clampWorkers(config.workers, jobs.size());
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < jobs.size(); ++i)
-            runJob(i);
-        return result;
-    }
-
-    std::atomic<std::size_t> next{0};
-    ThreadPool pool(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-        pool.submit([&] {
-            while (true) {
-                std::size_t i =
-                    next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= jobs.size())
-                    return;
-                runJob(i);
-            }
-        });
-    }
-    pool.drain();
+    });
     return result;
 }
 

@@ -106,15 +106,12 @@ parseCliArguments(const std::vector<std::string> &args)
     // Every numeric flag: the whole value must be decimal digits in the
     // range of @p out's type, so a sign, a space, a suffix or an
     // overflow is rejected rather than thrown, wrapped or narrowed.
-    auto need_count = [&]<typename T>(const std::string &flag,
-                                      T &out) -> bool {
+    auto need_count = [&](const std::string &flag, auto &out) -> bool {
         const std::string *value = need_value(flag);
         if (!value)
             return false;
-        if (std::optional<T> parsed = parseWholeNumber<T>(*value)) {
-            out = *parsed;
+        if (parseWholeNumber(*value, out))
             return true;
-        }
         result.message = flag + " needs a whole number in range, not '" +
                          *value + "'\n\n" + cliUsage();
         return false;
@@ -194,12 +191,7 @@ parseCliArguments(const std::vector<std::string> &args)
             const std::string *value = need_value("--sample-rate");
             if (!value)
                 return result;
-            double rate = 0.0;
-            try {
-                rate = std::stod(*value);
-            } catch (const std::exception &) {
-                rate = 0.0;
-            }
+            double rate = parseWholeNumber<double>(*value).value_or(0.0);
             if (!(rate > 0.0) || rate > 1.0) {
                 result.message =
                     "--sample-rate needs a value in (0, 1]\n\n" +

@@ -1,13 +1,12 @@
 #include "workloads/driver.h"
 
-#include <atomic>
 #include <memory>
 #include <optional>
 #include <thread>
 
 #include "common/logging.h"
 #include "common/mutex.h"
-#include "common/thread_pool.h"
+#include "common/parallel_for.h"
 #include "trace/trace.h"
 #include "pageprot/page_watch.h"
 #include "purify/purify.h"
@@ -317,11 +316,7 @@ runWorkload(const std::string &app_name, ToolKind tool,
                machine.kernel().currentProcess().tlb().stats());
     mergeStats(result.stats, "cache", machine.cache().stats());
     mergeStats(result.stats, "controller", machine.controller().stats());
-    // The geometry stat family only exists on a block-geometry machine;
-    // the word default keeps the exact pre-geometry stats key set.
-    if (!params.geometry.isWord())
-        mergeStats(result.stats, "geometry",
-                   machine.controller().geometryStats());
+    mergeStats(result.stats, "geometry", machine.controller().geometryStats());
     mergeStats(result.stats, "alloc", stack.allocator->stats());
     return result;
 }
@@ -482,6 +477,9 @@ runConsolidated(const RunSpec &spec)
     kernel.setCurrentProcess(runs.front().pid);
 
     ErrorSlot error;
+    // The run's own sink, or else the caller's: one scope covers a whole
+    // command, process threads included.
+    const Log *log = currentLog();
     std::vector<std::thread> threads;
     threads.reserve(nprocs);
     for (ProcRun &run : runs) {
@@ -489,8 +487,8 @@ runConsolidated(const RunSpec &spec)
             // Per-thread sink/recorder scopes: handlers fired while this
             // thread drives the machine report through the run's sinks.
             std::optional<LogScope> thread_log;
-            if (spec.params.log)
-                thread_log.emplace(*spec.params.log);
+            if (log)
+                thread_log.emplace(*log);
             std::optional<TraceScope> thread_trace;
             if (spec.params.trace)
                 thread_trace.emplace(*spec.params.trace);
@@ -567,9 +565,7 @@ runConsolidated(const RunSpec &spec)
     mergeStats(result.stats, "kernel", kernel.stats());
     mergeStats(result.stats, "cache", machine.cache().stats());
     mergeStats(result.stats, "controller", machine.controller().stats());
-    if (!spec.params.geometry.isWord())
-        mergeStats(result.stats, "geometry",
-                   machine.controller().geometryStats());
+    mergeStats(result.stats, "geometry", machine.controller().geometryStats());
     mergeStats(result.stats, "sched", machine.scheduler().stats());
 
     result.bugDetected =
@@ -600,31 +596,11 @@ runCell(const RunSpec &spec, MatrixCell &cell)
 std::vector<MatrixCell>
 runMatrix(const std::vector<RunSpec> &specs, unsigned workers)
 {
-    std::vector<MatrixCell> cells(specs.size());
-    workers = ThreadPool::clampWorkers(workers, specs.size());
-
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < specs.size(); ++i)
-            runCell(specs[i], cells[i]);
-        return cells;
-    }
-
-    // Workers claim cells from a shared cursor; each run is a pure
-    // function of its spec, so the claim order (and the worker count)
+    // Each run is a pure function of its spec, so the worker count
     // cannot change any result — only the wall clock.
-    std::atomic<std::size_t> next{0};
-    ThreadPool pool(workers);
-    for (unsigned w = 0; w < workers; ++w) {
-        pool.submit([&] {
-            while (true) {
-                std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
-                if (i >= specs.size())
-                    return;
-                runCell(specs[i], cells[i]);
-            }
-        });
-    }
-    pool.drain();
+    std::vector<MatrixCell> cells(specs.size());
+    parallelFor(specs.size(), workers,
+                [&](std::size_t i) { runCell(specs[i], cells[i]); });
     return cells;
 }
 

@@ -1,5 +1,6 @@
 #include "workloads/report_writer.h"
 
+#include <map>
 #include <sstream>
 
 #include "common/types.h"
@@ -17,6 +18,14 @@ seconds(Cycles cycles)
     os << std::fixed
        << static_cast<double>(cycles) / kCpuFrequencyHz << " s";
     return os.str();
+}
+
+/** @return counter @p name of a run's stats map, or 0 when absent. */
+std::uint64_t
+stat(const std::map<std::string, std::uint64_t> &stats, const char *name)
+{
+    auto it = stats.find(name);
+    return it == stats.end() ? 0 : it->second;
 }
 
 /**
@@ -110,15 +119,13 @@ formatRunSummary(const RunResult &result)
     // Only block-geometry machines have an EDC fast path to report on;
     // the word default keeps the exact pre-geometry report text.
     if (!result.geometry.isWord()) {
-        auto stat = [&](const char *name) -> std::uint64_t {
-            auto it = result.stats.find(name);
-            return it == result.stats.end() ? 0 : it->second;
-        };
         os << "  geometry           " << geometryName(result.geometry)
-           << ": " << stat("geometry.edc_checks_passed")
-           << " EDC passes / " << stat("geometry.edc_checks_failed")
-           << " misses, " << stat("geometry.block_decodes")
-           << " block decodes, " << stat("geometry.partial_write_rmws")
+           << ": " << stat(result.stats, "geometry.edc_checks_passed")
+           << " EDC passes / "
+           << stat(result.stats, "geometry.edc_checks_failed")
+           << " misses, " << stat(result.stats, "geometry.block_decodes")
+           << " block decodes, "
+           << stat(result.stats, "geometry.partial_write_rmws")
            << " RMW writebacks\n";
     }
 
@@ -130,13 +137,10 @@ formatRunSummary(const RunResult &result)
            << " elsewhere, corruptions " << proc.corruptionTrue << " / "
            << proc.corruptionFalse;
         if (proc.tool == ToolKind::SafeMemSampled) {
-            auto stat = [&](const char *name) -> std::uint64_t {
-                auto it = proc.stats.find(name);
-                return it == proc.stats.end() ? 0 : it->second;
-            };
-            std::uint64_t sampled = stat("sampled.sampled_allocs");
+            std::uint64_t sampled =
+                stat(proc.stats, "sampled.sampled_allocs");
             std::uint64_t total =
-                sampled + stat("sampled.unsampled_allocs");
+                sampled + stat(proc.stats, "sampled.unsampled_allocs");
             os.precision(2);
             os << std::fixed << ", sampled " << sampled << "/" << total
                << " (" << safeRatePercent(sampled, total) << "%)";
@@ -145,34 +149,24 @@ formatRunSummary(const RunResult &result)
            << (proc.bugDetected ? "BUG DETECTED" : "no bug found") << "\n";
     }
     if (!result.procs.empty()) {
-        auto stat = [&](const char *name) -> std::uint64_t {
-            auto it = result.stats.find(name);
-            return it == result.stats.end() ? 0 : it->second;
-        };
         os << "  contention         "
-           << stat("cache.cross_proc_evictions")
+           << stat(result.stats, "cache.cross_proc_evictions")
            << " cross-process evictions, "
-           << stat("sched.context_switches") << " context switches, "
-           << stat("kernel.scrub_passes")
+           << stat(result.stats, "sched.context_switches")
+           << " context switches, "
+           << stat(result.stats, "kernel.scrub_passes")
            << " shared scrub passes\n";
     }
 
     if (result.tool == ToolKind::SafeMemSampled) {
-        auto stat = [&](const char *name) -> std::uint64_t {
-            auto it = result.stats.find(name);
-            return it == result.stats.end() ? 0 : it->second;
-        };
         // Consolidated runs carry the sampling counters per process;
         // sum them so the machine-wide line is meaningful either way.
-        std::uint64_t sampled = stat("sampled.sampled_allocs");
-        std::uint64_t unsampled = stat("sampled.unsampled_allocs");
+        std::uint64_t sampled = stat(result.stats, "sampled.sampled_allocs");
+        std::uint64_t unsampled =
+            stat(result.stats, "sampled.unsampled_allocs");
         for (const ProcResult &proc : result.procs) {
-            auto find = [&](const char *name) -> std::uint64_t {
-                auto it = proc.stats.find(name);
-                return it == proc.stats.end() ? 0 : it->second;
-            };
-            sampled += find("sampled.sampled_allocs");
-            unsampled += find("sampled.unsampled_allocs");
+            sampled += stat(proc.stats, "sampled.sampled_allocs");
+            unsampled += stat(proc.stats, "sampled.unsampled_allocs");
         }
         std::uint64_t total = sampled + unsampled;
         os.precision(2);

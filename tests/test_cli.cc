@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "trace/trace.h"
@@ -140,6 +141,13 @@ TEST(Cli, NumericFlagsRejectMalformedValues)
     EXPECT_TRUE(rejectedWithUsage({"campaign", "--workers", "4294967296"}));
     EXPECT_TRUE(rejectedWithUsage(
         {"gzip", "--seed", "18446744073709551616"}));
+
+    // A fraction, parsed whole: no trailing junk, space or hex form.
+    for (const char *value : {"0.5abc", " 0.5", "0x0.8p0", "0", "1.5"}) {
+        EXPECT_TRUE(rejectedWithUsage(
+            {"gzip", "--tool", "safemem-sampled", "--sample-rate", value}))
+            << "'" << value << "'";
+    }
 }
 
 TEST(Cli, MalformedCodecAndGeometrySpecsRejectedWithoutThrowing)
@@ -175,6 +183,15 @@ TEST(Cli, NumericFlagsAcceptTheirWholeRange)
     EXPECT_EQ(parse.options->params.requests, 7u);
     EXPECT_EQ(parse.options->procs, 4294967295u);
     EXPECT_EQ(parse.options->workers, 0u);
+
+    for (const auto &[value, rate] :
+         {std::pair{"1e-3", 1e-3}, std::pair{"0.25", 0.25},
+          std::pair{"1", 1.0}}) {
+        CliParse sampled = parseCliArguments(
+            {"gzip", "--tool", "safemem-sampled", "--sample-rate", value});
+        ASSERT_TRUE(sampled.options.has_value()) << value;
+        EXPECT_EQ(sampled.options->params.sampleRate, rate) << value;
+    }
 
     CliParse campaign = parseCliArguments(
         {"campaign", "--samples", "18446744073709551615", "--seed", "0",

@@ -72,65 +72,65 @@ TEST(Clock, ResetClearsEverything)
     EXPECT_EQ(clock.currentCenter(), CostCenter::Application);
 }
 
-TEST(Stats, CountersAccumulate)
-{
-    StatSet stats;
-    EXPECT_EQ(stats.get("missing"), 0u);
-    stats.add("hits");
-    stats.add("hits", 4);
-    EXPECT_EQ(stats.get("hits"), 5u);
-    stats.set("hits", 2);
-    EXPECT_EQ(stats.get("hits"), 2u);
-}
-
-TEST(Stats, MaxOfTracksMaximum)
-{
-    StatSet stats;
-    stats.maxOf("peak", 10);
-    stats.maxOf("peak", 5);
-    stats.maxOf("peak", 20);
-    EXPECT_EQ(stats.get("peak"), 20u);
-}
-
-TEST(Stats, AllIsSortedByName)
-{
-    StatSet stats;
-    stats.add("zebra");
-    stats.add("apple");
-    auto snapshot = stats.all();
-    EXPECT_EQ(snapshot.begin()->first, "apple");
-}
-
 namespace {
 enum class TestStat : std::size_t { Reads, Writes, Peak };
 constexpr const char *kTestStatNames[] = {"reads", "writes", "peak"};
 } // namespace
 
+TEST(Stats, CountersAccumulate)
+{
+    StatSet stats(kTestStatNames);
+    EXPECT_EQ(stats.get("missing"), 0u); // no such slot reads 0
+    stats.add(TestStat::Reads);
+    stats.add(TestStat::Reads, 4);
+    EXPECT_EQ(stats.get(TestStat::Reads), 5u);
+    stats.set(TestStat::Reads, 2);
+    EXPECT_EQ(stats.get(TestStat::Reads), 2u);
+}
+
+TEST(Stats, MaxOfTracksMaximum)
+{
+    StatSet stats(kTestStatNames);
+    stats.maxOf(TestStat::Peak, 10);
+    stats.maxOf(TestStat::Peak, 5);
+    stats.maxOf(TestStat::Peak, 20);
+    EXPECT_EQ(stats.get(TestStat::Peak), 20u);
+}
+
+TEST(Stats, AllIsSortedByName)
+{
+    // Slot order is not name order: the snapshot sorts anyway.
+    StatSet stats(kTestStatNames);
+    stats.add(TestStat::Writes);
+    stats.add(TestStat::Peak);
+    stats.add(TestStat::Reads);
+    auto snapshot = stats.all();
+    ASSERT_EQ(snapshot.size(), 3u);
+    EXPECT_EQ(snapshot.begin()->first, "peak");
+    EXPECT_EQ(snapshot.rbegin()->first, "writes");
+}
+
 TEST(Stats, EnumAndStringViewsShareSlots)
 {
     StatSet stats(kTestStatNames);
-    stats.add(TestStat::Reads);
-    stats.add("reads", 4);
+    stats.add(TestStat::Reads, 5);
     EXPECT_EQ(stats.get(TestStat::Reads), 5u);
     EXPECT_EQ(stats.get("reads"), 5u);
 
-    stats.set("writes", 7);
-    EXPECT_EQ(stats.get(TestStat::Writes), 7u);
+    stats.set(TestStat::Writes, 7);
+    EXPECT_EQ(stats.get("writes"), 7u);
     stats.maxOf(TestStat::Peak, 10);
-    stats.maxOf("peak", 3);
-    stats.maxOf("peak", 20);
-    EXPECT_EQ(stats.get("peak"), 20u);
+    stats.maxOf(TestStat::Peak, 3);
+    EXPECT_EQ(stats.get("peak"), 10u);
 }
 
-TEST(Stats, SlotsAndFallbackMergeInSnapshots)
+TEST(Stats, SnapshotsHoldTouchedSlotsOnly)
 {
     StatSet stats(kTestStatNames);
     stats.add(TestStat::Writes, 2);
-    stats.add("ad_hoc", 9); // unregistered name -> fallback map
     auto snapshot = stats.all();
-    EXPECT_EQ(snapshot.size(), 2u); // untouched slots are omitted
+    EXPECT_EQ(snapshot.size(), 1u); // untouched slots are omitted
     EXPECT_EQ(snapshot.at("writes"), 2u);
-    EXPECT_EQ(snapshot.at("ad_hoc"), 9u);
     EXPECT_EQ(snapshot.count("reads"), 0u);
 
     // A touched slot appears even when its value is zero, exactly like a
@@ -143,10 +143,10 @@ TEST(Stats, SlotsAndFallbackMergeInSnapshots)
     EXPECT_EQ(stats.get(TestStat::Writes), 0u);
 }
 
-TEST(Stats, EnumOpsMatchStringKeyedReference)
+TEST(Stats, EnumOpsMatchPlainMapReference)
 {
-    // Mirror a mixed op sequence into a plain map (the old implementation)
-    // and require identical snapshots.
+    // Mirror a mixed op sequence into a plain map (the old string-keyed
+    // implementation) and require identical snapshots.
     StatSet stats(kTestStatNames);
     std::map<std::string, std::uint64_t> reference;
     auto ref_max = [&reference](const std::string &name, std::uint64_t v) {
@@ -159,16 +159,12 @@ TEST(Stats, EnumOpsMatchStringKeyedReference)
         stats.add(TestStat::Reads);
         reference["reads"] += 1;
         if (i % 3 == 0) {
-            stats.add("writes", i);
+            stats.add(TestStat::Writes, i);
             reference["writes"] += i;
         }
         if (i % 7 == 0) {
             stats.maxOf(TestStat::Peak, i * 11);
             ref_max("peak", i * 11);
-        }
-        if (i % 13 == 0) {
-            stats.add("fallback_counter", 2);
-            reference["fallback_counter"] += 2;
         }
     }
     EXPECT_EQ(stats.all(), reference);

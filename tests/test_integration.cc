@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.h"
 #include "workloads/driver.h"
 
 namespace safemem {
@@ -26,15 +25,7 @@ paramsFor(const std::string &app, bool buggy)
     return params;
 }
 
-class QuietLogs : public ::testing::Test
-{
-  protected:
-    void SetUp() override { setLogQuiet(true); }
-};
-
-using IntegrationDetect = QuietLogs;
-
-TEST_F(IntegrationDetect, SafeMemDetectsYpserv1ALeak)
+TEST(IntegrationDetect, SafeMemDetectsYpserv1ALeak)
 {
     RunResult r = runWorkload("ypserv1", ToolKind::SafeMemBoth,
                               paramsFor("ypserv1", true));
@@ -42,7 +33,7 @@ TEST_F(IntegrationDetect, SafeMemDetectsYpserv1ALeak)
     EXPECT_GE(r.leakReportsTrue, 1u);
 }
 
-TEST_F(IntegrationDetect, SafeMemDetectsYpserv2SLeak)
+TEST(IntegrationDetect, SafeMemDetectsYpserv2SLeak)
 {
     RunResult r = runWorkload("ypserv2", ToolKind::SafeMemBoth,
                               paramsFor("ypserv2", true));
@@ -50,21 +41,21 @@ TEST_F(IntegrationDetect, SafeMemDetectsYpserv2SLeak)
     EXPECT_GE(r.leakReportsTrue, 1u);
 }
 
-TEST_F(IntegrationDetect, SafeMemDetectsProftpdLeak)
+TEST(IntegrationDetect, SafeMemDetectsProftpdLeak)
 {
     RunResult r = runWorkload("proftpd", ToolKind::SafeMemBoth,
                               paramsFor("proftpd", true));
     EXPECT_TRUE(r.bugDetected);
 }
 
-TEST_F(IntegrationDetect, SafeMemDetectsSquid1Leak)
+TEST(IntegrationDetect, SafeMemDetectsSquid1Leak)
 {
     RunResult r = runWorkload("squid1", ToolKind::SafeMemBoth,
                               paramsFor("squid1", true));
     EXPECT_TRUE(r.bugDetected);
 }
 
-TEST_F(IntegrationDetect, SafeMemDetectsGzipOverflow)
+TEST(IntegrationDetect, SafeMemDetectsGzipOverflow)
 {
     RunResult r = runWorkload("gzip", ToolKind::SafeMemBoth,
                               paramsFor("gzip", true));
@@ -72,7 +63,7 @@ TEST_F(IntegrationDetect, SafeMemDetectsGzipOverflow)
     EXPECT_GE(r.corruptionTrue, 1u);
 }
 
-TEST_F(IntegrationDetect, SafeMemDetectsTarOverflow)
+TEST(IntegrationDetect, SafeMemDetectsTarOverflow)
 {
     RunResult r = runWorkload("tar", ToolKind::SafeMemBoth,
                               paramsFor("tar", true));
@@ -80,7 +71,7 @@ TEST_F(IntegrationDetect, SafeMemDetectsTarOverflow)
     EXPECT_GE(r.corruptionTrue, 1u);
 }
 
-TEST_F(IntegrationDetect, SafeMemDetectsSquid2UseAfterFree)
+TEST(IntegrationDetect, SafeMemDetectsSquid2UseAfterFree)
 {
     RunResult r = runWorkload("squid2", ToolKind::SafeMemBoth,
                               paramsFor("squid2", true));
@@ -88,7 +79,7 @@ TEST_F(IntegrationDetect, SafeMemDetectsSquid2UseAfterFree)
     EXPECT_GE(r.corruptionTrue, 1u);
 }
 
-TEST_F(IntegrationDetect, NoCorruptionFalsePositives)
+TEST(IntegrationDetect, NoCorruptionFalsePositives)
 {
     // Paper §6.4: "SafeMem does not have any false positives in memory
     // corruption detection." Swept as a parallel matrix so the
@@ -104,7 +95,7 @@ TEST_F(IntegrationDetect, NoCorruptionFalsePositives)
     }
 }
 
-TEST_F(IntegrationDetect, NormalRunsReportNoLeakAtBugSite)
+TEST(IntegrationDetect, NormalRunsReportNoLeakAtBugSite)
 {
     std::vector<RunSpec> specs;
     for (const std::string &app : appNames())
@@ -116,9 +107,7 @@ TEST_F(IntegrationDetect, NormalRunsReportNoLeakAtBugSite)
     }
 }
 
-using IntegrationOverhead = QuietLogs;
-
-TEST_F(IntegrationOverhead, SafeMemIsCheapPurifyIsNot)
+TEST(IntegrationOverhead, SafeMemIsCheapPurifyIsNot)
 {
     // Table 3's shape: SafeMem single-digit-ish percent, Purify a
     // multiple of the baseline, with orders of magnitude between them.
@@ -148,7 +137,7 @@ TEST_F(IntegrationOverhead, SafeMemIsCheapPurifyIsNot)
     }
 }
 
-TEST_F(IntegrationOverhead, MlOnlyIsCheaperThanMcOnly)
+TEST(IntegrationOverhead, MlOnlyIsCheaperThanMcOnly)
 {
     RunParams params = paramsFor("ypserv1", false);
     RunResult base = runWorkload("ypserv1", ToolKind::None, params);
@@ -157,9 +146,7 @@ TEST_F(IntegrationOverhead, MlOnlyIsCheaperThanMcOnly)
     EXPECT_LT(overheadPercent(ml, base), overheadPercent(mc, base));
 }
 
-using IntegrationSpace = QuietLogs;
-
-TEST_F(IntegrationSpace, EccWastesFarLessThanPageProtection)
+TEST(IntegrationSpace, EccWastesFarLessThanPageProtection)
 {
     // Table 4's shape: page protection wastes ~64-74x more memory.
     RunParams params = paramsFor("ypserv1", false);
@@ -173,9 +160,7 @@ TEST_F(IntegrationSpace, EccWastesFarLessThanPageProtection)
     EXPECT_GT(ratio, 20.0);
 }
 
-using IntegrationPruning = QuietLogs;
-
-TEST_F(IntegrationPruning, EccPruningRemovesFalsePositives)
+TEST(IntegrationPruning, EccPruningRemovesFalsePositives)
 {
     // Table 5's shape: several suspected groups, almost all pruned.
     RunResult r = runWorkload("ypserv1", ToolKind::SafeMemBoth,
@@ -185,9 +170,7 @@ TEST_F(IntegrationPruning, EccPruningRemovesFalsePositives)
     EXPECT_GT(r.prunedSuspects, 0u);
 }
 
-using IntegrationPurify = QuietLogs;
-
-TEST_F(IntegrationPurify, PurifyAlsoDetectsCorruptionBugs)
+TEST(IntegrationPurify, PurifyAlsoDetectsCorruptionBugs)
 {
     std::vector<RunSpec> specs;
     for (const std::string &app : {std::string("gzip"),
@@ -200,7 +183,7 @@ TEST_F(IntegrationPurify, PurifyAlsoDetectsCorruptionBugs)
     }
 }
 
-TEST_F(IntegrationPurify, PurifyFindsLeakedBlocks)
+TEST(IntegrationPurify, PurifyFindsLeakedBlocks)
 {
     RunResult r = runWorkload("ypserv1", ToolKind::Purify,
                               paramsFor("ypserv1", true));

@@ -8,20 +8,18 @@
  * the memory-bus lock, and before BusLockGuard existed the unwind left
  * the bus locked forever — every later WatchMemory call then died with
  * the misleading "bus already locked" panic instead of doing its job.
- * The rest of the file locks down the contracts of the annotated
- * concurrency primitives the refactor touched (ThreadPool, SimCheck).
+ * The rest of the file locks down the contract of SimCheck, the
+ * annotated concurrency primitive the refactor touched.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <thread>
 #include <vector>
 
 #include "check/simcheck.h"
 #include "common/logging.h"
 #include "common/mutex.h"
-#include "common/thread_pool.h"
 #include "os/machine.h"
 
 namespace safemem {
@@ -103,35 +101,6 @@ TEST_F(LockDisciplineTest, PartiallyWatchedDisablePanicReleasesBusLock)
     // must succeed now that the bus is free.
     kernel.watchMemory(base, kCacheLineSize);
     kernel.disableWatchMemory(base, kCacheLineSize);
-}
-
-TEST(ThreadPoolDiscipline, JobsSubmittingJobsAreDrained)
-{
-    ThreadPool pool(3);
-    std::atomic<int> ran{0};
-    for (int i = 0; i < 8; ++i) {
-        pool.submit([&pool, &ran] {
-            ran.fetch_add(1);
-            pool.submit([&pool, &ran] {
-                ran.fetch_add(1);
-                pool.submit([&ran] { ran.fetch_add(1); });
-            });
-        });
-    }
-    pool.drain();
-    EXPECT_EQ(ran.load(), 8 * 3);
-}
-
-TEST(ThreadPoolDiscipline, DrainIsReusableAcrossBatches)
-{
-    ThreadPool pool(2);
-    std::atomic<int> ran{0};
-    for (int batch = 0; batch < 5; ++batch) {
-        for (int i = 0; i < 16; ++i)
-            pool.submit([&ran] { ran.fetch_add(1); });
-        pool.drain();
-        EXPECT_EQ(ran.load(), (batch + 1) * 16);
-    }
 }
 
 TEST(SimCheckDiscipline, ConcurrentReportsAreAllRecorded)

@@ -4,6 +4,10 @@
  * negative-path tests (which intentionally trigger panics) keep the
  * output readable, and switch on the SimCheck invariant auditor so every
  * existing integration/stress test also exercises the audit hooks.
+ *
+ * The quiet scope sits on the main thread; runMatrix workers and
+ * consolidated process threads inherit it, and a test that starts its
+ * own threads installs its own scope there.
  */
 
 #include <gtest/gtest.h>
@@ -15,7 +19,8 @@ int
 main(int argc, char **argv)
 {
     ::testing::InitGoogleTest(&argc, argv);
-    safemem::setLogQuiet(true);
+    const safemem::Log quiet = safemem::Log::quiet();
+    safemem::LogScope scope(quiet);
     safemem::SimCheck::instance().setEnabled(true);
     return RUN_ALL_TESTS();
 }

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for the parallel run-matrix harness: the thread pool, per-run
- * log routing, and the bit-identical-regardless-of-workers contract
- * that makes whole simulator runs safe to fan out across cores.
+ * Tests for the parallel run-matrix harness: parallelFor, per-run log
+ * routing, and the bit-identical-regardless-of-workers contract that
+ * makes whole simulator runs safe to fan out across cores.
  */
 
 #include <gtest/gtest.h>
@@ -13,57 +13,45 @@
 #include <vector>
 
 #include "common/logging.h"
-#include "common/thread_pool.h"
+#include "common/mutex.h"
+#include "common/parallel_for.h"
 #include "workloads/driver.h"
 
 namespace safemem {
 namespace {
 
-// ---------------------------------------------------------------- pool
+// ---------------------------------------------------------- parallelFor
 
-TEST(ThreadPool, RunsEveryJob)
+TEST(ParallelFor, RunsEveryIndexExactlyOnce)
 {
-    std::atomic<int> ran{0};
-    {
-        ThreadPool pool(4);
-        for (int i = 0; i < 100; ++i)
-            pool.submit([&ran] { ran.fetch_add(1); });
-    } // destructor drains
-    EXPECT_EQ(ran.load(), 100);
+    constexpr std::size_t kJobs = 37;
+    for (unsigned workers : {0u, 1u, 2u, unsigned(kJobs) + 3}) {
+        std::vector<std::atomic<int>> runs(kJobs);
+        parallelFor(kJobs, workers,
+                    [&runs](std::size_t i) { runs[i].fetch_add(1); });
+        for (std::size_t i = 0; i < kJobs; ++i)
+            EXPECT_EQ(runs[i].load(), 1) << "index " << i << ", "
+                                         << workers << " workers";
+    }
 }
 
-TEST(ThreadPool, DrainIsABarrier)
+TEST(ParallelFor, OneWorkerRunsOnTheCallingThread)
 {
-    std::atomic<int> ran{0};
-    ThreadPool pool(3);
-    for (int i = 0; i < 50; ++i)
-        pool.submit([&ran] { ran.fetch_add(1); });
-    pool.drain();
-    EXPECT_EQ(ran.load(), 50);
-
-    // The pool stays usable after a drain.
-    pool.submit([&ran] { ran.fetch_add(1); });
-    pool.drain();
-    EXPECT_EQ(ran.load(), 51);
+    std::vector<std::thread::id> ran_on;
+    parallelFor(5, 1, [&ran_on](std::size_t) {
+        ran_on.push_back(std::this_thread::get_id());
+    });
+    EXPECT_EQ(ran_on, std::vector<std::thread::id>(
+                          5, std::this_thread::get_id()));
 }
 
-TEST(ThreadPool, ZeroWorkersStillRuns)
+TEST(ParallelFor, ClampWorkersSemantics)
 {
-    ThreadPool pool(0);
-    EXPECT_EQ(pool.size(), 1u);
-    std::atomic<bool> ran{false};
-    pool.submit([&ran] { ran = true; });
-    pool.drain();
-    EXPECT_TRUE(ran.load());
-}
-
-TEST(ThreadPool, ClampWorkersSemantics)
-{
-    EXPECT_EQ(ThreadPool::clampWorkers(4, 100), 4u);
-    EXPECT_EQ(ThreadPool::clampWorkers(8, 3), 3u);  // never more than jobs
-    EXPECT_EQ(ThreadPool::clampWorkers(5, 0), 5u);  // no jobs: keep request
-    EXPECT_GE(ThreadPool::clampWorkers(0, 100), 1u); // 0 = hardware, min 1
-    EXPECT_EQ(ThreadPool::clampWorkers(0, 1), 1u);
+    EXPECT_EQ(clampWorkers(4, 100), 4u);
+    EXPECT_EQ(clampWorkers(8, 3), 3u);   // never more than jobs
+    EXPECT_EQ(clampWorkers(5, 0), 5u);   // no jobs: keep request
+    EXPECT_GE(clampWorkers(0, 100), 1u); // 0 = hardware, min 1
+    EXPECT_EQ(clampWorkers(0, 1), 1u);
 }
 
 // ------------------------------------------------------------- logging
@@ -239,6 +227,34 @@ TEST(RunMatrix, FailedCellDoesNotPoisonTheBatch)
               std::string::npos);
     EXPECT_TRUE(cells[2].ok());
     EXPECT_TRUE(cells[0].result == cells[2].result);
+}
+
+TEST(RunMatrix, WorkersInheritTheCallersSink)
+{
+    // No per-run sink: each worker must report through the caller's
+    // scope. The sink is shared by two threads, so it locks.
+    Mutex mutex;
+    std::vector<std::string> fatals;
+    Log log([&](LogLevel level, const std::string &msg) {
+        MutexLock lock(mutex);
+        if (level == LogLevel::Fatal)
+            fatals.push_back(msg);
+    });
+    LogScope scope(log);
+
+    RunSpec bad{"no-such-app", ToolKind::None, smallParams("gzip", false)};
+    ASSERT_EQ(bad.params.log, nullptr);
+    std::vector<MatrixCell> cells = runMatrix({bad, bad}, 2);
+    ASSERT_EQ(cells.size(), 2u);
+    EXPECT_FALSE(cells[0].ok());
+    EXPECT_FALSE(cells[1].ok());
+
+    MutexLock lock(mutex);
+    ASSERT_EQ(fatals.size(), 2u);
+    for (const std::string &msg : fatals)
+        EXPECT_NE(msg.find("unknown application 'no-such-app'"),
+                  std::string::npos)
+            << msg;
 }
 
 TEST(RunMatrix, EmptyMatrixIsFine)

@@ -11,7 +11,6 @@
 
 #include "alloc/heap_allocator.h"
 #include "cache/cache.h"
-#include "common/logging.h"
 #include "mem/memory_controller.h"
 #include "os/kernel.h"
 #include "os/machine.h"
@@ -48,7 +47,6 @@ expectEnumStringAgreement(const StatSet &stats)
 
 TEST(StatsEquivalence, MachineTrafficSnapshotsMatchStringView)
 {
-    setLogQuiet(true);
     Machine machine;
     VirtAddr region = machine.kernel().mapRegion(64 * kPageSize);
 
@@ -65,7 +63,8 @@ TEST(StatsEquivalence, MachineTrafficSnapshotsMatchStringView)
     machine.read(region + kPageSize, buffer.data(), buffer.size());
 
     expectEnumStringAgreement<CacheStat>(machine.cache().stats());
-    expectEnumStringAgreement<TlbStat>(machine.kernel().tlb().stats());
+    const StatSet &tlb = machine.kernel().currentProcess().tlb().stats();
+    expectEnumStringAgreement<TlbStat>(tlb);
     expectEnumStringAgreement<KernelStat>(machine.kernel().stats());
     expectEnumStringAgreement<ControllerStat>(
         machine.controller().stats());
@@ -73,12 +72,11 @@ TEST(StatsEquivalence, MachineTrafficSnapshotsMatchStringView)
     // The traffic above must actually have exercised the hot counters.
     EXPECT_GT(machine.cache().stats().get(CacheStat::Hits), 0u);
     EXPECT_GT(machine.cache().stats().get(CacheStat::Misses), 0u);
-    EXPECT_GT(machine.kernel().tlb().stats().get(TlbStat::Hits), 0u);
+    EXPECT_GT(tlb.get(TlbStat::Hits), 0u);
 }
 
 TEST(StatsEquivalence, WorkloadRunKeepsHistoricalStatNames)
 {
-    setLogQuiet(true);
     RunParams params;
     params.requests = defaultRequests("ypserv1");
     params.buggy = true;

@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/logging.h"
 #include "workloads/driver.h"
 
 namespace safemem {
@@ -35,11 +34,7 @@ struct Table5Row
     std::uint64_t after;
 };
 
-class Table5Lock : public ::testing::TestWithParam<Table5Row>
-{
-  protected:
-    void SetUp() override { setLogQuiet(true); }
-};
+using Table5Lock = ::testing::TestWithParam<Table5Row>;
 
 TEST_P(Table5Lock, FalsePositiveCountsMatchThePaper)
 {
@@ -59,13 +54,7 @@ INSTANTIATE_TEST_SUITE_P(
                       Table5Row{"ypserv2", 2, 0}),
     [](const auto &info) { return std::string(info.param.app); });
 
-class TableLocks : public ::testing::Test
-{
-  protected:
-    void SetUp() override { setLogQuiet(true); }
-};
-
-TEST_F(TableLocks, Table3OverheadsStayInThePaperBand)
+TEST(TableLocks, Table3OverheadsStayInThePaperBand)
 {
     // Paper band: 1.6 % - 14.4 % for ML+MC across all seven apps. Runs
     // as a parallel matrix: the band must hold regardless of how the
@@ -87,7 +76,7 @@ TEST_F(TableLocks, Table3OverheadsStayInThePaperBand)
     }
 }
 
-TEST_F(TableLocks, Table2SyscallCostsStayCalibrated)
+TEST(TableLocks, Table2SyscallCostsStayCalibrated)
 {
     Machine machine;
     VirtAddr region = machine.kernel().mapRegion(kPageSize);
@@ -103,7 +92,7 @@ TEST_F(TableLocks, Table2SyscallCostsStayCalibrated)
     EXPECT_NEAR(cyclesToMicros(disable), 1.5, 0.1);
 }
 
-TEST_F(TableLocks, Table4ReductionFactorHolds)
+TEST(TableLocks, Table4ReductionFactorHolds)
 {
     // Server apps must show tens-of-x less waste under ECC protection.
     RunParams params = fullScale("proftpd", false);
@@ -115,7 +104,7 @@ TEST_F(TableLocks, Table4ReductionFactorHolds)
     EXPECT_LT(reduction, 120.0);
 }
 
-TEST_F(TableLocks, PageProtectionBackendAlsoFindsTheLeak)
+TEST(TableLocks, PageProtectionBackendAlsoFindsTheLeak)
 {
     // The identical detectors over mprotect still catch ypserv2's
     // SLeak — the mechanisms differ only in granularity and cost.

@@ -111,8 +111,9 @@ TEST(TlbIntegration, RepeatedAccessesMissOnce)
     VirtAddr base = machine.kernel().mapRegion(kPageSize);
     for (int i = 0; i < 10; ++i)
         machine.store<std::uint64_t>(base + i * 8, 1);
-    EXPECT_EQ(machine.kernel().tlb().stats().get("misses"), 1u);
-    EXPECT_EQ(machine.kernel().tlb().stats().get("hits"), 9u);
+    const StatSet &stats = machine.kernel().currentProcess().tlb().stats();
+    EXPECT_EQ(stats.get("misses"), 1u);
+    EXPECT_EQ(stats.get("hits"), 9u);
 }
 
 TEST(TlbIntegration, MissChargesAWalk)
@@ -137,12 +138,12 @@ TEST(TlbIntegration, MprotectShootsTheTlbDown)
     Machine machine(MachineConfig{4u << 20, CacheConfig{16, 2}, 1024});
     VirtAddr base = machine.kernel().mapRegion(kPageSize);
     machine.store<std::uint64_t>(base, 1);
-    std::uint64_t misses =
-        machine.kernel().tlb().stats().get("misses");
+    const StatSet &stats = machine.kernel().currentProcess().tlb().stats();
+    std::uint64_t misses = stats.get("misses");
 
     machine.kernel().mprotectRange(base, kPageSize, true);
     machine.store<std::uint64_t>(base, 2);
-    EXPECT_EQ(machine.kernel().tlb().stats().get("misses"), misses + 1)
+    EXPECT_EQ(stats.get("misses"), misses + 1)
         << "the shootdown forces a fresh walk";
 }
 
@@ -194,7 +195,7 @@ TEST(TlbIntegration, SwappedOutHotPageComesBackWithItsData)
     EXPECT_EQ(machine.load<std::uint64_t>(base + 16), 0x5eedULL);
     EXPECT_TRUE(kernel.pageResident(base));
     EXPECT_EQ(kernel.stats().get("pages_swapped_in"), 1u);
-    EXPECT_EQ(kernel.tlb().stats().get("misses"), 2u)
+    EXPECT_EQ(kernel.currentProcess().tlb().stats().get("misses"), 2u)
         << "the swap-out shot the hot entry down";
     EXPECT_NO_THROW(machine.auditNow());
 }
@@ -228,7 +229,7 @@ TEST(TlbIntegration, ExactCountsForFixedStreams)
         for (int round = 0; round < kRounds; ++round)
             for (std::size_t p = 0; p < kEntries; ++p)
                 machine.load<std::uint64_t>(base + p * kPageSize);
-        const StatSet &stats = machine.kernel().tlb().stats();
+        const StatSet &stats = machine.kernel().currentProcess().tlb().stats();
         EXPECT_EQ(stats.get("misses"), kEntries);
         EXPECT_EQ(stats.get("hits"), kEntries * (kRounds - 1));
     }
@@ -241,7 +242,7 @@ TEST(TlbIntegration, ExactCountsForFixedStreams)
         for (int round = 0; round < kRounds; ++round)
             for (std::size_t p = 0; p <= kEntries; ++p)
                 machine.load<std::uint64_t>(base + p * kPageSize);
-        const StatSet &stats = machine.kernel().tlb().stats();
+        const StatSet &stats = machine.kernel().currentProcess().tlb().stats();
         EXPECT_EQ(stats.get("misses"), (kEntries + 1) * kRounds);
         EXPECT_EQ(stats.get("hits"), 0u);
     }
@@ -253,7 +254,7 @@ TEST(TlbIntegration, ExactCountsForFixedStreams)
         for (std::size_t i = 0; i < 120; ++i)
             machine.load<std::uint64_t>(base + (i / 4) % 3 * kPageSize +
                                         i % 4 * 8);
-        const StatSet &stats = machine.kernel().tlb().stats();
+        const StatSet &stats = machine.kernel().currentProcess().tlb().stats();
         EXPECT_EQ(stats.get("misses"), 3u);
         EXPECT_EQ(stats.get("hits"), 117u);
     }

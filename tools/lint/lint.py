@@ -15,16 +15,16 @@ Rules (scoped to ``src/`` unless noted):
                    (the base layer) includes nothing but other ``common/``
                    headers.
   header-docs      Every public header opens with a Doxygen ``@file`` block.
-  string-keyed-stats  No string-keyed ``stats_.add("...")`` (or set/maxOf/
-                   get) under ``src/cache/`` or ``src/mem/``: those sit on
-                   the per-access hot path and must use enum-indexed slots
-                   (``stats_.add(CacheStat::Hits)``).
-  mutable-globals  No new non-const namespace-scope mutable variables under
+  string-keyed-stats  No string-keyed ``stats_.get("...")`` read under
+                   ``src/cache/`` or ``src/mem/``: those sit on the
+                   per-access hot path and must use enum-indexed slots
+                   (``stats_.get(CacheStat::Hits)``).  StatSet has no
+                   string-keyed writer at all.
+  mutable-globals  No non-const namespace-scope mutable variables under
                    ``src/``: process-wide state breaks the "a run is a pure
                    function of its RunSpec" contract that the parallel run
                    matrix depends on.  ``const``/``constexpr`` data and
-                   ``thread_local`` slots are fine; the deprecated quiet
-                   flag is allowlisted.
+                   ``thread_local`` slots are fine.
   string-trace-payload  No string literal inside a ``SAFEMEM_TRACE_EMIT``
                    (or ``...trace->emit(...)``) argument list under
                    ``src/``: flight-recorder payloads are enum IDs and
@@ -70,13 +70,6 @@ Rules (scoped to ``src/`` unless noted):
                    business.  Other layers treat ProtectionGeometry as an
                    opaque run parameter: compare it, name it via
                    ``geometryName()``/``geometryLabel()``, pass it whole.
-  single-space-kernel  No legacy single-address-space kernel accessors
-                   (``kernel().pageTable()`` / ``kernel().tlb()``) outside
-                   ``src/os/``: the kernel is multi-process now, and those
-                   delegate to *whichever process is current*.  Code
-                   elsewhere must name the process it means via the
-                   Process seam (``kernel().currentProcess().tlb()`` or
-                   ``kernel().process(pid).pageTable()``).
 
 Usage:
   lint.py [--root DIR]   lint the tree rooted at DIR (default: repo root)
@@ -240,12 +233,12 @@ def check_include_hygiene(rel, raw, violations):
 
 
 STRING_STAT_DIRS = ("src/cache/", "src/mem/")
-STRING_STAT = re.compile(r'\bstats_\s*\.\s*(add|set|maxOf|get)\s*\(\s*"')
+STRING_STAT = re.compile(r'\bstats_\s*\.\s*get\s*\(\s*"')
 
 
 def check_string_keyed_stats(rel, stripped, violations):
     # The stripper blanks string *contents* but keeps the quote chars, so
-    # a literal first argument still shows up as `stats_.add("`.
+    # a literal first argument still shows up as `stats_.get("`.
     if not rel.startswith(STRING_STAT_DIRS):
         return
     for lineno, line in enumerate(stripped.splitlines(), 1):
@@ -253,14 +246,8 @@ def check_string_keyed_stats(rel, stripped, violations):
             violations.append(Violation(
                 rel, lineno, "string-keyed-stats",
                 "per-access stats in cache/mem must use enum-indexed "
-                "slots (stats_.add(CacheStat::...)), not string keys"))
+                "slots (stats_.get(CacheStat::...)), not string keys"))
 
-
-# Existing process-global state, kept deliberately: the setLogQuiet()
-# compatibility shim. Everything else must be per-Machine / per-run.
-MUTABLE_GLOBAL_ALLOWLIST = {
-    ("src/common/logging.cc", "g_defaultQuiet"),
-}
 
 # Statement openers that are never variable definitions.
 MUTABLE_GLOBAL_SKIP = re.compile(
@@ -329,8 +316,6 @@ def check_mutable_globals(rel, stripped, violations):
         match = MUTABLE_GLOBAL_DECL.match(line)
         if not match:
             continue
-        if (rel, match.group("name")) in MUTABLE_GLOBAL_ALLOWLIST:
-            continue
         violations.append(Violation(
             rel, lineno, "mutable-globals",
             f"namespace-scope mutable '{match.group('name')}': runs must "
@@ -367,27 +352,6 @@ def check_string_trace_payload(rel, stripped, violations):
                 rel, lineno, "string-trace-payload",
                 "string literal in a trace emit: flight-recorder payloads "
                 "are enum IDs and integer words only"))
-
-
-# The legacy accessors delegate to the *current* process; outside the
-# kernel's own layer that is an accident waiting for a context switch.
-# `.process(pid).` / `.currentProcess().` between the kernel and the
-# accessor is the sanctioned seam and must not match.
-SINGLE_SPACE_KERNEL = re.compile(
-    r"\bkernel(?:_|\s*\(\s*\))\s*(?:\.|->)\s*(?P<name>pageTable|tlb)\s*\(")
-
-
-def check_single_space_kernel(rel, stripped, violations):
-    if not rel.startswith("src/") or rel.startswith("src/os/"):
-        return
-    for lineno, line in enumerate(stripped.splitlines(), 1):
-        match = SINGLE_SPACE_KERNEL.search(line)
-        if match:
-            violations.append(Violation(
-                rel, lineno, "single-space-kernel",
-                f"legacy kernel().{match.group('name')}() reads whichever "
-                "process is current: go through the Process seam "
-                "(kernel().currentProcess()/process(pid)) instead"))
 
 
 # --- codeword-arithmetic ---------------------------------------------------
@@ -681,7 +645,6 @@ def lint_file(root, rel, violations):
     check_string_keyed_stats(rel, stripped, violations)
     check_mutable_globals(rel, stripped, violations)
     check_string_trace_payload(rel, stripped, violations)
-    check_single_space_kernel(rel, stripped, violations)
     check_codeword_arithmetic(rel, stripped, violations)
     check_unguarded_shared_state(rel, stripped, raw, violations)
     check_lock_order(rel, stripped, raw, violations)
@@ -736,7 +699,7 @@ SEEDED_SOURCES = {
         "string-keyed-stats",
         '#include "common/stats.h"\n'
         "struct Hot\n{\n    safemem::StatSet stats_;\n"
-        '    void hit() { stats_.add("hits"); }\n};\n'),
+        '    bool hot() const { return stats_.get("hits") > 0; }\n};\n'),
     "src/os/bad_global.cc": (
         "mutable-globals",
         '#include "common/types.h"\n'
@@ -758,16 +721,6 @@ SEEDED_SOURCES = {
         "void oops2(safemem::Trace &trace)\n{\n"
         "    trace.emit(safemem::TraceEvent::WatchDrop, 0,\n"
         '               sizeof("a string payload"));\n}\n'),
-    "src/safemem/bad_kernel_tlb.cc": (
-        "single-space-kernel",
-        '#include "os/machine.h"\n'
-        "std::uint64_t hits(safemem::Machine &machine)\n{\n"
-        '    return machine.kernel().tlb().stats().get("hits");\n}\n'),
-    "src/workloads/bad_kernel_pt.cc": (
-        "single-space-kernel",
-        '#include "os/machine.h"\n'
-        "bool mapped(safemem::Kernel *kernel_, safemem::VirtAddr va)\n{\n"
-        "    return kernel_->pageTable().find(va) != nullptr;\n}\n"),
     "src/os/bad_codeword_math.cc": (
         "codeword-arithmetic",
         '#include "ecc/geometry.h"\n'
@@ -855,20 +808,6 @@ CLEAN_SOURCES = [
      "                       1, 2, 3);\n"
      "    if (trace_)\n"
      "        trace_->emit(safemem::TraceEvent::WatchDrop, 1);\n}\n"),
-    # The Process seam is the sanctioned way to read per-process state
-    # outside src/os/ — and src/os/ itself may keep the legacy accessors.
-    ("src/workloads/clean_process_seam.cc",
-     '#include "os/machine.h"\n'
-     "std::uint64_t hits(safemem::Machine &machine, safemem::Pid pid)\n{\n"
-     "    return machine.kernel().currentProcess().tlb().stats()\n"
-     '               .get("hits") +\n'
-     "           machine.kernel().process(pid).tlb().stats()\n"
-     '               .get("hits");\n}\n'),
-    ("src/os/clean_kernel_internal.cc",
-     '#include "os/machine.h"\n'
-     "bool selfCheck(safemem::Machine &machine)\n{\n"
-     "    return machine.kernel().tlb().size() <=\n"
-     "           machine.kernel().pageTable().size();\n}\n"),
     # Disciplined locking the lock-order rule must accept: hierarchy
     # order with a scoped guard, release-then-reacquire of one level,
     # and a deliberate (waived) inversion.

@@ -22,7 +22,10 @@
 int
 main(int argc, char **argv)
 {
-    safemem::setLogQuiet(true);
+    // The report is the output: one quiet scope covers every run of the
+    // command, matrix workers and process threads included.
+    const safemem::Log quiet = safemem::Log::quiet();
+    safemem::LogScope scope(quiet);
     std::vector<std::string> args(argv + 1, argv + argc);
     safemem::CliParse parse = safemem::parseCliArguments(args);
     if (!parse.options) {
