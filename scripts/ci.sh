@@ -7,45 +7,48 @@
 #   4. TSan configuration — full ctest under ThreadSanitizer; the matrix
 #                           tests drive concurrent machines, so this is
 #                           the data-race gate for the parallel harness
-#   5. matrix smoke       — bench_matrix --json; fail on malformed JSON,
+#   5. paper              — safemem_run paper exits 0, and every markdown
+#                           table it prints appears verbatim in
+#                           EXPERIMENTS.md
+#   6. matrix smoke       — bench_matrix --json; fail on malformed JSON,
 #                           missing keys or a parallel sweep that moved
-#   6. campaign smoke     — safemem_run campaign over the codec zoo:
+#   7. campaign smoke     — safemem_run campaign over the codec zoo:
 #                           JSON shape, scramble verdicts, worker-count
 #                           independence (byte-identical files), and the
 #                           committed BENCH_ecc_campaign.json reproduced
 #                           byte for byte
-#   7. perfbench smoke    — build perfbench/ (its own CMake package over
+#   8. perfbench smoke    — build perfbench/ (its own CMake package over
 #                           src/) into build-perfbench/ and run one short
 #                           pass per workload, the machine workloads
 #                           traced so their equivalence gate runs, and
 #                           their seed-42 `simulated:` lines equal to
 #                           tests/data/perfbench_simulated_seed42.txt
-#   8. trace smoke        — a traced safemem_run workload decoded with
+#   9. trace smoke        — a traced safemem_run workload decoded with
 #                           trace_dump (records + --summary); fail on
 #                           malformed JSON-lines
-#   9. multiproc smoke    — the full app sweep at --procs 2 must produce
+#  10. multiproc smoke    — the full app sweep at --procs 2 must produce
 #                           byte-identical reports for any worker count
-#  10. fleet smoke        — a reduced bench_fleet sampled-monitoring
+#  11. fleet smoke        — a reduced bench_fleet sampled-monitoring
 #                           sweep: byte-identical JSON for any worker
 #                           count, pinned cell shape, overhead ordering;
 #                           a malformed flag value rejected; and the
 #                           committed BENCH_fleet.json reproduced byte
 #                           for byte
-#  11. tradeoff smoke     — bench_ecc_tradeoff: byte-identical JSON for
+#  12. tradeoff smoke     — bench_ecc_tradeoff: byte-identical JSON for
 #                           any worker count, redundancy overhead falling
 #                           with codeword size, decode/RMW accounting,
 #                           --geometry word bit-identical to the
 #                           pre-geometry golden sweep, and the committed
 #                           BENCH_ecc_tradeoff.json reproduced byte for
 #                           byte
-#  12. notrace build      — library/tools compile with -DSAFEMEM_TRACE=OFF
-#  13. static analysis    — -Wthread-safety build (clang++), clang-tidy
+#  13. notrace build      — library/tools compile with -DSAFEMEM_TRACE=OFF
+#  14. static analysis    — -Wthread-safety build (clang++), clang-tidy
 #                           gauntlet, negative-compile proof; the
 #                           Clang-only pieces SKIP with a visible warning
 #                           on GCC-only hosts
-#  14. repo lint          — tools/lint/lint.py over the tree
-#  15. lint self-test     — tools/lint/lint.py --self-test
-#  16. format check       — scripts/check_format.sh (skips w/o clang-format)
+#  15. repo lint          — tools/lint/lint.py over the tree
+#  16. lint self-test     — tools/lint/lint.py --self-test
+#  17. format check       — scripts/check_format.sh (skips w/o clang-format)
 #
 # Every stage runs even when an earlier one fails; the exit status is
 # non-zero if any stage failed.
@@ -74,6 +77,36 @@ build_and_test() {
     cmake -B "$dir" -S . "$@" &&
         cmake --build "$dir" -j "$JOBS" &&
         ctest --test-dir "$dir" --output-on-failure -j "$JOBS"
+}
+
+paper_check() {
+    # EXPERIMENTS.md publishes the output of `safemem_run paper`. The
+    # command must succeed, and each maximal block of markdown table
+    # lines it prints must appear verbatim in the document, so a change
+    # that moves any published number fails here until EXPERIMENTS.md
+    # is regenerated.
+    local out=build/paper_output.md
+    build/tools/safemem_run paper >"$out" &&
+        python3 - "$out" EXPERIMENTS.md <<'PYEOF'
+import sys
+
+lines = open(sys.argv[1], encoding="utf-8").read().splitlines()
+doc = "\n" + open(sys.argv[2], encoding="utf-8").read()
+blocks, block = [], []
+for line in lines + [""]:
+    if line.startswith("|"):
+        block.append(line)
+    elif block:
+        blocks.append(block)
+        block = []
+missing = [b for b in blocks if "\n" + "\n".join(b) + "\n" not in doc]
+for b in missing:
+    print("paper: this table is not in EXPERIMENTS.md verbatim:")
+    print("\n".join(b))
+print(f"paper: {len(blocks) - len(missing)} of {len(blocks)} tables "
+      "found in EXPERIMENTS.md")
+sys.exit(1 if missing or not blocks else 0)
+PYEOF
 }
 
 matrix_smoke() {
@@ -490,6 +523,7 @@ stage "tier-1 (default build + ctest)" build_and_test build
 stage "asan ctest" build_and_test build-asan -DSAFEMEM_ASAN=ON
 stage "ubsan ctest" build_and_test build-ubsan -DSAFEMEM_UBSAN=ON
 stage "tsan ctest" build_and_test build-tsan -DSAFEMEM_TSAN=ON
+stage "paper (safemem_run paper vs EXPERIMENTS.md)" paper_check
 stage "bench smoke (matrix --json)" matrix_smoke
 stage "campaign smoke (ecc codec zoo)" campaign_smoke
 stage "perfbench smoke (perfbench/run.py, every workload)" perfbench_smoke

@@ -89,6 +89,10 @@ inline constexpr Cycles kDetectPerGroupCycles = 15;
 /** Purify-model cost of checking one memory access against shadow bits. */
 inline constexpr Cycles kPurifyCheckCycles = 24;
 
+/** Purify-model instrumentation multiplier on compute blocks: an
+ *  instrumented block takes this many times its original cycles. */
+inline constexpr double kPurifyComputeFactor = 8.0;
+
 /** Purify-model cost of updating shadow state for one byte. */
 inline constexpr Cycles kPurifyShadowByteCycles = 2;
 

@@ -11,14 +11,19 @@
 
 namespace safemem {
 
+namespace {
+
+/** Kernel ticks between the deep SimCheck audits of the access path. */
+constexpr std::uint32_t kAuditTickInterval = 64;
+
+} // namespace
+
 Machine::Machine(MachineConfig config)
     : config_(config)
 {
     if (config_.banks != 1)
         panic("Machine: MachineConfig::banks is ", config_.banks,
               "; the machine has one memory bus");
-    if (config_.simCheck)
-        SimCheck::instance().setEnabled(true);
     memory_ = std::make_unique<PhysicalMemory>(config_.memoryBytes, 8,
                                                config_.geometry);
     controller_ = std::make_unique<MemoryController>(
@@ -44,7 +49,7 @@ Machine::maybeTick()
         return;
     accessesSinceTick_ = 0;
     kernel_->tick();
-    if (simCheckActive() && ++ticksSinceAudit_ >= config_.auditTickInterval) {
+    if (simCheckActive() && ++ticksSinceAudit_ >= kAuditTickInterval) {
         ticksSinceAudit_ = 0;
         auditNow();
     }

@@ -43,8 +43,6 @@ struct MachineConfig
     CacheConfig cache{};
     /** Call Kernel::tick() once every this many accesses. */
     std::uint32_t tickInterval = 1024;
-    /** Turn on the SimCheck invariant auditor for this process. */
-    bool simCheck = false;
     /**
      * ECC codec wired into the memory controller (must outlive the
      * machine). Null: the shared (72,64) Hsiao defaultCodec(). The
@@ -53,8 +51,6 @@ struct MachineConfig
      * findScramblePositions).
      */
     const EccCodec *codec = nullptr;
-    /** Run the deep SimCheck audits every this many kernel ticks. */
-    std::uint32_t auditTickInterval = 64;
     /**
      * Per-run log sink for everything this machine emits (must outlive
      * the machine). Null: the process default. The machine itself is
@@ -136,7 +132,7 @@ class Machine
     /**
      * Run the deep SimCheck audits (cache residency, kernel bookkeeping)
      * immediately. No-op while auditing is disabled; the access path also
-     * calls this every auditTickInterval kernel ticks.
+     * calls this every kAuditTickInterval kernel ticks.
      */
     void auditNow() const;
 

@@ -10,6 +10,12 @@ namespace safemem {
 
 namespace {
 
+/** Red-zone bytes placed before and after every block. */
+constexpr std::size_t kPurifyRedZoneBytes = 32;
+
+/** App CPU cycles between mark-and-sweep leak scans. */
+constexpr Cycles kPurifySweepPeriod = 8'000'000;
+
 /** RAII guard suppressing access instrumentation inside tool code. */
 class ToolCodeGuard
 {
@@ -27,9 +33,8 @@ class ToolCodeGuard
 
 } // namespace
 
-PurifyTool::PurifyTool(Machine &machine, HeapAllocator &allocator,
-                       PurifyConfig config)
-    : machine_(machine), allocator_(allocator), config_(config)
+PurifyTool::PurifyTool(Machine &machine, HeapAllocator &allocator)
+    : machine_(machine), allocator_(allocator)
 {
 }
 
@@ -61,7 +66,7 @@ PurifyTool::toolAlloc(std::size_t size, const ShadowStack &stack,
     (void)stack;
     ToolCodeGuard guard(inToolCode_);
 
-    std::size_t rz = config_.redZoneBytes;
+    std::size_t rz = kPurifyRedZoneBytes;
     VirtAddr base = allocator_.allocate(rz + std::max<std::size_t>(size, 1)
                                         + rz);
     VirtAddr user = base + rz;
@@ -84,7 +89,7 @@ PurifyTool::toolAlloc(std::size_t size, const ShadowStack &stack,
     live_[user] = block;
     stats_.add(PurifyStat::BlocksInstrumented);
 
-    if (config_.leakScans && appNow() - lastSweep_ > config_.sweepPeriod)
+    if (appNow() - lastSweep_ > kPurifySweepPeriod)
         markAndSweep();
     return user;
 }
@@ -149,17 +154,17 @@ PurifyTool::toolFree(VirtAddr addr)
     allocator_.deallocate(block.base);
     stats_.add(PurifyStat::BlocksFreed);
 
-    if (config_.leakScans && appNow() - lastSweep_ > config_.sweepPeriod)
+    if (appNow() - lastSweep_ > kPurifySweepPeriod)
         markAndSweep();
 }
 
 void
 PurifyTool::onCompute(Cycles cycles)
 {
-    // Instrumented code runs computeFactor x slower overall; the
+    // Instrumented code runs kPurifyComputeFactor x slower overall; the
     // original cycles were already charged to the application.
     Cycles extra = static_cast<Cycles>(
-        static_cast<double>(cycles) * (config_.computeFactor - 1.0));
+        static_cast<double>(cycles) * (kPurifyComputeFactor - 1.0));
     machine_.clock().advance(extra, CostCenter::ToolAccess);
 }
 
@@ -213,13 +218,13 @@ PurifyTool::onAccess(VirtAddr addr, std::size_t size, bool is_write)
             // Past the end of the previous block (within its red zone)?
             if (addr >= prev->second.userAddr + prev->second.size &&
                 addr < prev->second.userAddr + prev->second.size +
-                           config_.redZoneBytes) {
+                           kPurifyRedZoneBytes) {
                 owner = &prev->second;
                 kind = CorruptionKind::OverflowPadding;
             }
         }
         if (!owner && it != live_.end() &&
-            addr + config_.redZoneBytes >= it->second.userAddr) {
+            addr + kPurifyRedZoneBytes >= it->second.userAddr) {
             owner = &it->second;
             kind = CorruptionKind::UnderflowPadding;
         }
@@ -327,8 +332,7 @@ PurifyTool::markAndSweep()
 void
 PurifyTool::finish()
 {
-    if (config_.leakScans)
-        markAndSweep();
+    markAndSweep();
 }
 
 } // namespace safemem

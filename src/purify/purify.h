@@ -36,20 +36,6 @@
 
 namespace safemem {
 
-/** Tunables of the Purify model. */
-struct PurifyConfig
-{
-    /** Red-zone bytes placed before and after every block. */
-    std::size_t redZoneBytes = 32;
-    /** App CPU cycles between mark-and-sweep leak scans. */
-    Cycles sweepPeriod = 8'000'000;
-    /** Instrumentation multiplier applied to compute blocks
-     *  (total = factor x original). */
-    double computeFactor = 8.0;
-    /** Run mark-and-sweep leak scans at all. */
-    bool leakScans = true;
-};
-
 /** Returns the application root set (addresses of held pointers). */
 using RootProvider = std::function<std::vector<VirtAddr>()>;
 
@@ -79,8 +65,7 @@ inline constexpr const char *kPurifyStatNames[] = {
 class PurifyTool : public Tool
 {
   public:
-    PurifyTool(Machine &machine, HeapAllocator &allocator,
-               PurifyConfig config = {});
+    PurifyTool(Machine &machine, HeapAllocator &allocator);
 
     /** Hook every machine access. Call once after construction. */
     void install();
@@ -143,7 +128,6 @@ class PurifyTool : public Tool
 
     Machine &machine_;
     HeapAllocator &allocator_;
-    PurifyConfig config_;
     ShadowMemory shadow_;
 
     /** Live instrumented blocks, sorted by user address. */

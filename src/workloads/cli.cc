@@ -7,6 +7,7 @@
 #include "check/simcheck.h"
 #include "ecc/parse_number.h"
 #include "trace/trace.h"
+#include "workloads/paper.h"
 #include "workloads/report_writer.h"
 
 namespace safemem {
@@ -30,13 +31,16 @@ cliUsage()
     std::ostringstream os;
     os << "usage: safemem_run <app|all> [options]\n"
        << "       safemem_run campaign [campaign options]\n"
+       << "       safemem_run paper\n"
        << "\n"
        << "apps:";
     for (const std::string &name : appNames())
         os << " " << name;
     os << "\n"
        << "('all' sweeps every app under the selected tool;\n"
-       << " 'campaign' runs the ECC fault-injection campaign instead)\n"
+       << " 'campaign' runs the ECC fault-injection campaign instead;\n"
+       << " 'paper' prints Tables 2-5, Figure 3 and the ablations as\n"
+       << " markdown on every core, and takes no options)\n"
        << "\noptions:\n"
        << "  --tool <name>     none | safemem-ml | safemem-mc | safemem |"
           " safemem-sampled |\n"
@@ -90,6 +94,14 @@ parseCliArguments(const std::vector<std::string> &args)
     options.app = args[i++];
     options.allApps = options.app == "all";
     options.campaign = options.app == "campaign";
+    options.paper = options.app == "paper";
+    if (options.paper) {
+        if (i < args.size())
+            result.message = "paper takes no options\n\n" + cliUsage();
+        else
+            result.options = options;
+        return result;
+    }
     if (!options.allApps && !options.campaign && !makeApp(options.app)) {
         result.message = "unknown application '" + options.app + "'\n\n" +
                          cliUsage();
@@ -301,6 +313,8 @@ CliRun
 runCli(const CliOptions &options)
 {
     CliRun run;
+    if (options.paper)
+        return runPaper();
     if (options.campaign) {
         CampaignResult campaign = runCampaign(options.campaignConfig);
         run.report = formatCampaignReport(campaign);

@@ -30,6 +30,7 @@ struct CliOptions
     std::string statsPrefix;      ///< --stats=<prefix>
     std::string traceFile;        ///< --trace: flight-recorder output file
     bool campaign = false;        ///< app was "campaign": codec sweep
+    bool paper = false;           ///< app was "paper": the evaluation
     CampaignConfig campaignConfig; ///< campaign-mode parameters
     std::string campaignOut;      ///< --out: campaign JSON file ("" = none)
 };

@@ -73,7 +73,7 @@ runFleet(const FleetConfig &config)
             spec.procs = config.procs;
             spec.params.requests = config.requests;
             spec.params.buggy = true;
-            spec.params.seed = config.baseSeed + 1009ULL * s;
+            spec.params.seed = kFleetBaseSeed + 1009ULL * s;
             spec.params.sampleRate = tool.rate;
             spec.params.log = config.log;
             specs.push_back(spec);
@@ -93,7 +93,6 @@ runFleet(const FleetConfig &config)
     result.procs = config.procs;
     result.requests = config.requests;
     result.seeds = config.seeds;
-    result.baseSeed = config.baseSeed;
 
     // Worker-count independence: the same spec list must produce the
     // same results bit for bit from a differently-sized pool.
@@ -206,7 +205,7 @@ fleetJson(const FleetResult &result)
     os << "  \"procs\": " << result.procs << ",\n";
     os << "  \"requests\": " << result.requests << ",\n";
     os << "  \"seeds\": " << result.seeds << ",\n";
-    os << "  \"base_seed\": " << result.baseSeed << ",\n";
+    os << "  \"base_seed\": " << kFleetBaseSeed << ",\n";
     os << "  \"identical\": " << (result.identical ? "true" : "false")
        << ",\n";
     os << "  \"cells\": [\n";

@@ -33,6 +33,9 @@
 
 namespace safemem {
 
+/** First fleet seed; seed k runs at kFleetBaseSeed + 1009 * k. */
+inline constexpr std::uint64_t kFleetBaseSeed = 42;
+
 /** Parameters of one fleet sweep. */
 struct FleetConfig
 {
@@ -44,8 +47,6 @@ struct FleetConfig
     std::uint64_t requests = 300;
     /** Distinct fleet seeds per configuration. */
     std::uint32_t seeds = 5;
-    /** First seed; seed k runs at baseSeed + 1009 * k. */
-    std::uint64_t baseSeed = 42;
     /** SampledSafeMem rates to sweep (each adds a configuration). */
     std::vector<double> rates = {1.0 / 16, 1.0 / 64, 1.0 / 256};
     /** Worker threads for the run matrix (0 = all cores). */
@@ -102,7 +103,6 @@ struct FleetResult
     std::uint32_t procs = 0;
     std::uint64_t requests = 0;
     std::uint32_t seeds = 0;
-    std::uint64_t baseSeed = 0;
     /** Configurations in sweep order: none, safemem, purify, sampled@r. */
     std::vector<FleetCell> cells;
     /** True when the verify pass (if any) matched bit for bit. */

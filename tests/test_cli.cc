@@ -69,6 +69,24 @@ TEST(Cli, AllSweepParsed)
     EXPECT_EQ(parse.options->params.requests, 0u);
 }
 
+TEST(Cli, PaperParsed)
+{
+    CliParse parse = parseCliArguments({"paper"});
+    ASSERT_TRUE(parse.options.has_value());
+    EXPECT_TRUE(parse.options->paper);
+}
+
+TEST(Cli, PaperRejectsAnyOption)
+{
+    for (const std::vector<std::string> &args :
+         {std::vector<std::string>{"paper", "--workers", "2"},
+          std::vector<std::string>{"paper", "extra"}}) {
+        CliParse bad = parseCliArguments(args);
+        EXPECT_FALSE(bad.options.has_value()) << args[1];
+        EXPECT_NE(bad.message.find("usage:"), std::string::npos) << args[1];
+    }
+}
+
 TEST(Cli, WorkersDefaultsToSequential)
 {
     CliParse parse = parseCliArguments({"gzip"});

@@ -8,6 +8,7 @@
 
 #include "common/costs.h"
 #include "common/logging.h"
+#include "ecc/codec.h"
 #include "ecc/scramble.h"
 #include "os/machine.h"
 
@@ -95,8 +96,16 @@ TEST_F(KernelTest, WatchMemoryScramblesAndPins)
 
     PhysAddr frame = kernel.translate(base + kPageSize - 1) -
                      (kPageSize - 1);
-    EXPECT_EQ(machine.controller().peekWord(frame),
-              kernel.scramblePattern().apply(0x1234ULL));
+    const std::uint64_t stored = machine.controller().peekWord(frame);
+    const std::uint8_t check = machine.physicalMemory().readCheck(frame);
+    EXPECT_EQ(stored, kernel.scramblePattern().apply(0x1234ULL));
+    // Paper Figure 2: the data was scrambled with ECC off, so the check
+    // byte still encodes the original word and the pair decodes as an
+    // uncorrectable fault; the flush put the line back in memory.
+    EXPECT_EQ(check, defaultCodec().encode(0x1234ULL));
+    EXPECT_EQ(defaultCodec().decode(stored, check).status,
+              EccDecodeStatus::Uncorrectable);
+    EXPECT_FALSE(machine.cache().contains(frame)) << "line flushed";
     EXPECT_FALSE(machine.kernel().swapOutPage(base)) << "page pinned";
 
     kernel.disableWatchMemory(base, kCacheLineSize);
@@ -144,6 +153,10 @@ TEST_F(KernelTest, FirstAccessFaultsAndHandlerDecides)
     });
 
     kernel.watchMemory(base, kCacheLineSize);
+    EXPECT_EQ(machine.load<std::uint64_t>(base), 99u);
+    EXPECT_EQ(faults, 1);
+    EXPECT_FALSE(kernel.isWatched(base)) << "the handler removed it";
+    // The handler's repair sticks: the next access takes no fault.
     EXPECT_EQ(machine.load<std::uint64_t>(base), 99u);
     EXPECT_EQ(faults, 1);
 }

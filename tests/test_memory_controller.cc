@@ -169,6 +169,11 @@ TEST_F(ControllerTest, CheckOnlyModeReportsWithoutCorrecting)
     EXPECT_EQ(interrupts, 1);
     EXPECT_EQ(lastFault.kind, EccFaultKind::UnreportedSingle);
     EXPECT_EQ(memory.readWord(0), 0xfeULL) << "not corrected";
+
+    // Correct-and-Scrub: a scrub pass heals what Check-Only left.
+    controller.setMode(EccMode::CorrectAndScrub);
+    controller.scrubRange(0, 1);
+    EXPECT_EQ(memory.readWord(0), 0xffULL);
 }
 
 TEST_F(ControllerTest, DisabledModeSkipsChecksAndStalesChecks)

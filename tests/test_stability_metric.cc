@@ -1,14 +1,15 @@
 /**
  * @file
  * Tests for the Figure 3 warm-up metric: per-group maximal-lifetime
- * history, the tolerance-band definition of "stable", and the
- * teardown-only exclusion.
+ * history, the tolerance-band definition of "stable", the
+ * teardown-only exclusion, and the rows `safemem_run paper` prints.
  */
 
 #include <gtest/gtest.h>
 
 #include "safemem/leak_detector.h"
 #include "tests/fake_backend.h"
+#include "workloads/paper.h"
 
 namespace safemem {
 namespace {
@@ -116,6 +117,41 @@ TEST_F(StabilityMetricTest, WarmUpRelativeToFirstEvent)
     ASSERT_EQ(data.size(), 1u);
     EXPECT_EQ(data[0].warmUpTime, (start + 100) - start)
         << "warm-up measured from the first event, not absolute time";
+}
+
+Cycles
+seconds(double s)
+{
+    return static_cast<Cycles>(s * kCpuFrequencyHz);
+}
+
+TEST(Figure3Rows, TimeColumnIncreasesAndStopsAtTheRunEnd)
+{
+    // proftpd's shape: the run ends at 0.92 s, before the fixed 1.0 s
+    // and 1.2 s sample times, so neither may be printed.
+    std::vector<StabilityRow> rows = stabilityRows(
+        {seconds(0.5), seconds(0.03), seconds(0.15), seconds(0.03)},
+        seconds(0.92));
+    ASSERT_EQ(rows.size(), 7u) << "0.05-0.8 s, then the end";
+    for (std::size_t i = 1; i < rows.size(); ++i) {
+        EXPECT_GT(rows[i].seconds, rows[i - 1].seconds) << "row " << i;
+        EXPECT_GE(rows[i].percent, rows[i - 1].percent) << "row " << i;
+    }
+    EXPECT_DOUBLE_EQ(rows.front().seconds, 0.05);
+    EXPECT_DOUBLE_EQ(rows.front().percent, 50.0);
+    EXPECT_DOUBLE_EQ(rows[2].percent, 75.0) << "0.2 s";
+    EXPECT_NEAR(rows.back().seconds, 0.92, 1e-9);
+    EXPECT_DOUBLE_EQ(rows.back().percent, 100.0);
+}
+
+TEST(Figure3Rows, ShortRunPrintsOnlyItsEndAndNoGroupsNoRows)
+{
+    std::vector<StabilityRow> rows =
+        stabilityRows({seconds(0.01)}, seconds(0.04));
+    ASSERT_EQ(rows.size(), 1u);
+    EXPECT_NEAR(rows[0].seconds, 0.04, 1e-9);
+    EXPECT_DOUBLE_EQ(rows[0].percent, 100.0);
+    EXPECT_TRUE(stabilityRows({}, seconds(2.0)).empty());
 }
 
 } // namespace
