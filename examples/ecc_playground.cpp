@@ -69,7 +69,7 @@ main()
     machine.kernel().watchMemory(buffer, kCacheLineSize);
     std::printf("memory now 0x%016llx (scrambled), check byte intact\n",
                 static_cast<unsigned long long>(
-                    machine.controller().peekWord(frame)));
+                    machine.controller().peekLine(frame)[0]));
 
     machine.kernel().registerEccFaultHandler(
         [&](const UserEccFault &fault) {

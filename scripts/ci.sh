@@ -25,7 +25,9 @@
 #                           tests/data/perfbench_simulated_seed42.txt
 #   9. trace smoke        — a traced safemem_run workload decoded with
 #                           trace_dump (records + --summary); fail on
-#                           malformed JSON-lines
+#                           malformed JSON-lines; and the trace file of
+#                           `squid1 --buggy --requests 200` must match
+#                           tests/data/trace_squid1_buggy_r200.sha256
 #  10. multiproc smoke    — the full app sweep at --procs 2 must produce
 #                           byte-identical reports for any worker count
 #  11. fleet smoke        — a reduced bench_fleet sampled-monitoring
@@ -259,7 +261,7 @@ for line in lines:
     assert doc["cycle_first"] <= doc["cycle_last"], doc
 print(f"trace summary: {len(lines)} section(s)")
 PYEOF
-        python3 - "$out" <<'PYEOF'
+        python3 - "$out" <<'PYEOF' || return 1
 import json
 import sys
 
@@ -281,6 +283,28 @@ for line in lines:
 assert "gzip/safemem" in last_seq, f"runs seen: {sorted(last_seq)}"
 print(f"trace smoke: {len(lines)} records across {len(last_seq)} run(s)")
 PYEOF
+    trace_pin
+}
+
+trace_pin() {
+    # The retained records carry simulated timestamps, so a moved
+    # clock advance or trace emit changes this file even when the
+    # end-of-run totals agree. Refresh the digest only for a change
+    # meant to move simulated numbers.
+    local bin=build/trace_squid1_buggy_r200.bin
+    local golden=tests/data/trace_squid1_buggy_r200.sha256
+    build/tools/safemem_run squid1 --buggy --requests 200 --trace "$bin" \
+        >/dev/null || return 1
+    local want got
+    want=$(cat "$golden")
+    got=$(sha256sum "$bin" | cut -d' ' -f1)
+    if [ "$got" != "$want" ]; then
+        echo "trace pin: $bin moved"
+        echo "  committed: $want"
+        echo "  measured:  $got"
+        return 1
+    fi
+    echo "trace pin: squid1 --buggy --requests 200 trace matches $golden"
 }
 
 multiproc_smoke() {
@@ -527,7 +551,8 @@ stage "paper (safemem_run paper vs EXPERIMENTS.md)" paper_check
 stage "bench smoke (matrix --json)" matrix_smoke
 stage "campaign smoke (ecc codec zoo)" campaign_smoke
 stage "perfbench smoke (perfbench/run.py, every workload)" perfbench_smoke
-stage "trace smoke (safemem_run --trace + trace_dump)" trace_smoke
+stage "trace smoke (safemem_run --trace + trace_dump + pinned digest)" \
+    trace_smoke
 stage "multiproc smoke (--procs 2, serial vs parallel)" multiproc_smoke
 stage "fleet smoke (bench_fleet sampled sweep + committed JSON)" fleet_smoke
 stage "tradeoff smoke (bench_ecc_tradeoff + word golden + committed JSON)" \

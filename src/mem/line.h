@@ -1,6 +1,7 @@
 /**
  * @file
- * Cache-line data buffer with word-granularity accessors.
+ * Cache-line data buffers: bytes with word-granularity accessors, and
+ * the line as its ECC-group words.
  */
 
 #pragma once
@@ -15,6 +16,9 @@ namespace safemem {
 
 /** One cache line worth of bytes. */
 using LineData = std::array<std::uint8_t, kCacheLineSize>;
+
+/** One cache line as its kEccGroupsPerLine 64-bit ECC-group words. */
+using LineWords = std::array<std::uint64_t, kEccGroupsPerLine>;
 
 /** @return 64-bit word @p index (0-7) of @p line. */
 inline std::uint64_t

@@ -440,18 +440,24 @@ MemoryController::auditWritebackCoherence(PhysAddr line_addr,
 }
 
 void
-MemoryController::writeWordDeviceOp(PhysAddr word_addr, std::uint64_t value)
+MemoryController::writeLineDeviceOp(PhysAddr line_addr, const LineWords &words)
 {
-    memory_.writeWord(word_addr, value);
-    if (mode_ != EccMode::Disabled)
-        memory_.writeCheck(word_addr, static_cast<std::uint8_t>(
-                                          code_.encode(value)));
+    if (mode_ == EccMode::Disabled) {
+        memory_.writeLine(line_addr, words.data(), nullptr);
+        return;
+    }
+    std::uint8_t checks[kEccGroupsPerLine];
+    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
+        checks[i] = static_cast<std::uint8_t>(code_.encode(words[i]));
+    memory_.writeLine(line_addr, words.data(), checks);
 }
 
-std::uint64_t
-MemoryController::peekWord(PhysAddr word_addr) const
+LineWords
+MemoryController::peekLine(PhysAddr line_addr) const
 {
-    return memory_.readWord(word_addr);
+    LineWords words;
+    memory_.readLine(line_addr, words.data(), nullptr);
+    return words;
 }
 
 void

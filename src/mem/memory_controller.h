@@ -13,9 +13,9 @@
  * scramble (paper §2.2.2, Figure 2); while it is held, every fill,
  * writeback and scrub panics.
  *
- * Device-initiated accesses used by the kernel (word writes during a
- * scramble, raw line peeks) charge no cycles; the kernel bills calibrated
- * syscall totals instead. Cache-initiated fills/evictions charge
+ * Device-initiated accesses used by the kernel (whole-line writes during
+ * a scramble, raw line peeks) charge no cycles; the kernel bills
+ * calibrated syscall totals instead. Cache-initiated fills/evictions charge
  * kDramLineCycles.
  */
 
@@ -169,13 +169,17 @@ class MemoryController
     void evictLine(PhysAddr line_addr, const LineData &data);
 
     /**
-     * Device-initiated word write honouring the current mode: with ECC
-     * Disabled the stored check byte is left untouched. Charges no cycles.
+     * Device-initiated write of the whole line at line-aligned
+     * @p line_addr, honouring the current mode: with ECC Disabled the
+     * stored check bytes are left untouched, otherwise every word is
+     * encoded afresh. Charges no cycles and leaves any EDC fold as is.
      */
-    void writeWordDeviceOp(PhysAddr word_addr, std::uint64_t value);
+    void writeLineDeviceOp(PhysAddr line_addr, const LineWords &words);
 
-    /** Uncharged, unchecked word read (kernel save path, tests). */
-    std::uint64_t peekWord(PhysAddr word_addr) const;
+    /** Uncharged, unchecked read of the stored words of the line at
+     *  line-aligned @p line_addr: no decode, so an error in DRAM comes
+     *  back as stored (scramble, signature check, swap-out, tests). */
+    LineWords peekLine(PhysAddr line_addr) const;
 
     /**
      * Scrub @p lines cache lines starting at @p start_line: decode every

@@ -91,18 +91,39 @@ PhysicalMemory::readCheck(PhysAddr addr) const
     return checks_[wordIndex(addr)];
 }
 
-void
-PhysicalMemory::readLine(PhysAddr line_addr, std::uint64_t *words,
-                         std::uint8_t *checks) const
+std::size_t
+PhysicalMemory::lineWordIndex(PhysAddr line_addr) const
 {
     if (!isAligned(line_addr, kCacheLineSize))
         panic("PhysicalMemory: unaligned line address ", line_addr);
     // The capacity is whole lines, so the first word's bounds check
     // covers the line.
-    std::size_t first = wordIndex(line_addr);
-    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+    return wordIndex(line_addr);
+}
+
+void
+PhysicalMemory::readLine(PhysAddr line_addr, std::uint64_t *words,
+                         std::uint8_t *checks) const
+{
+    std::size_t first = lineWordIndex(line_addr);
+    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
         words[i] = words_[first + i];
-        checks[i] = checks_[first + i];
+    if (checks) {
+        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
+            checks[i] = checks_[first + i];
+    }
+}
+
+void
+PhysicalMemory::writeLine(PhysAddr line_addr, const std::uint64_t *words,
+                          const std::uint8_t *checks)
+{
+    std::size_t first = lineWordIndex(line_addr);
+    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
+        words_[first + i] = words[i];
+    if (checks) {
+        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
+            checks_[first + i] = checks[i];
     }
 }
 

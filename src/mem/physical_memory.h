@@ -85,9 +85,16 @@ class PhysicalMemory
     std::uint8_t readCheck(PhysAddr addr) const;
 
     /** Copy the kEccGroupsPerLine data words and check bytes of the
-     *  line at line-aligned @p line_addr into @p words and @p checks. */
+     *  line at line-aligned @p line_addr into @p words and @p checks
+     *  (a null @p checks skips the check bytes). */
     void readLine(PhysAddr line_addr, std::uint64_t *words,
                   std::uint8_t *checks) const;
+
+    /** Store the kEccGroupsPerLine words at @p words and the check
+     *  bytes at @p checks into the line at line-aligned @p line_addr;
+     *  a null @p checks leaves the stored check bytes untouched. */
+    void writeLine(PhysAddr line_addr, const std::uint64_t *words,
+                   const std::uint8_t *checks);
 
     /** Overwrite the stored check byte for the word at @p addr. */
     void writeCheck(PhysAddr addr, std::uint8_t check);
@@ -124,6 +131,9 @@ class PhysicalMemory
 
   private:
     std::size_t wordIndex(PhysAddr addr) const;
+    /** @return the word index of the first word of the line at
+     *  @p line_addr (which must be line aligned). */
+    std::size_t lineWordIndex(PhysAddr line_addr) const;
     std::size_t lineIndex(PhysAddr addr) const;
 
     std::size_t bytes_;

@@ -1,6 +1,6 @@
 #include "os/kernel.h"
 
-#include <cstring>
+#include <bit>
 
 #include "check/simcheck.h"
 #include "common/costs.h"
@@ -164,9 +164,13 @@ Kernel::unmapRegion(VirtAddr base, std::size_t bytes)
             panic("Kernel::unmapRegion: vpage ", vpage, " not mapped");
         if (entry->pinCount > 0)
             panic("Kernel::unmapRegion: vpage ", vpage, " still pinned");
+        // Unpinned under UnwatchRewatch, but its frame is still
+        // scrambled: freed, it would fault in the next owner's hands.
+        if (entry->watchedLines != 0)
+            panic("Kernel::unmapRegion: vpage ", vpage, " still watched");
         if (entry->present) {
             // Drop stale cached copies of the departing frame.
-            for (std::size_t l = 0; l < kPageSize / kCacheLineSize; ++l)
+            for (std::size_t l = 0; l < kLinesPerPage; ++l)
                 cache_.flushLine(entry->frame + l * kCacheLineSize);
             freeFrame(entry->frame);
         } else {
@@ -271,26 +275,59 @@ Kernel::registerSegvHandler(UserSegvHandler handler)
     current_->segvHandler_ = std::move(handler);
 }
 
+namespace {
+
+/**
+ * Call @p fn(entry, vline, pline) for each line of the line-aligned
+ * region [addr, addr + size), in address order. @p pages holds the
+ * entries of the pages the region touches, as walkWatchPages() returns
+ * them.
+ */
+template <typename Fn>
 void
-Kernel::pinPage(VirtAddr vpage)
+forEachLine(const std::vector<PageTableEntry *> &pages, VirtAddr addr,
+            std::size_t size, Fn &&fn)
 {
-    clock_.advance(kPagePinCycles);
-    PageTableEntry *entry = current_->space_.pageTable.find(vpage);
-    if (!entry)
-        panic("Kernel::pinPage: unmapped vpage ", vpage);
-    if (!entry->present)
-        pageIn(vpage);
-    ++entry->pinCount;
+    const VirtAddr first_page = alignDown(addr, kPageSize);
+    for (VirtAddr vline = addr; vline < addr + size;
+         vline += kCacheLineSize) {
+        PageTableEntry &entry = *pages[(vline - first_page) / kPageSize];
+        fn(entry, vline, entry.frame + vline % kPageSize);
+    }
+}
+
+} // namespace
+
+std::vector<PageTableEntry *>
+Kernel::walkWatchPages(const char *syscall, VirtAddr addr, std::size_t size,
+                       bool pin)
+{
+    AddressSpace &space = current_->space_;
+    std::vector<PageTableEntry *> pages;
+    for (VirtAddr vpage = alignDown(addr, kPageSize); vpage < addr + size;
+         vpage += kPageSize) {
+        clock_.advance(kPageTableWalkCycles);
+        PageTableEntry *entry = space.pageTable.find(vpage);
+        if (!entry)
+            panic(syscall, ": unmapped address ", vpage);
+        if (!entry->present)
+            pageIn(vpage);
+        if (pin) {
+            clock_.advance(kPagePinCycles);
+            ++entry->pinCount;
+        }
+        pages.push_back(entry);
+    }
+    return pages;
 }
 
 void
-Kernel::unpinPage(VirtAddr vpage)
+Kernel::toggleScramble(PhysAddr pline)
 {
-    clock_.advance(kPagePinCycles);
-    PageTableEntry *entry = current_->space_.pageTable.find(vpage);
-    if (!entry || entry->pinCount == 0)
-        panic("Kernel::unpinPage: vpage ", vpage, " not pinned");
-    --entry->pinCount;
+    LineWords words = controller_.peekLine(pline);
+    for (std::uint64_t &word : words)
+        word = scramble_.apply(word);
+    controller_.writeLineDeviceOp(pline, words);
 }
 
 void
@@ -300,58 +337,41 @@ Kernel::watchMemory(VirtAddr addr, std::size_t size)
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::KernelWatchMemory, clock_.now(),
                        addr, size);
     Process &proc = *current_;
-    AddressSpace &space = proc.space_;
     if (!isAligned(addr, kCacheLineSize) || !isAligned(size, kCacheLineSize))
         panic("WatchMemory: region must be cache-line aligned (addr=",
               addr, " size=", size, ")");
 
     // Resolve and pin every page the region touches (one walk + pin per
     // page, not per line).
-    for (VirtAddr vpage = alignDown(addr, kPageSize);
-         vpage < addr + size; vpage += kPageSize) {
-        clock_.advance(kPageTableWalkCycles);
-        PageTableEntry *entry = space.pageTable.find(vpage);
-        if (!entry)
-            panic("WatchMemory: unmapped address ", vpage);
-        if (!entry->present)
-            pageIn(vpage);
-        if (proc.swapPolicy_ == SwapWatchPolicy::PinPages)
-            pinPage(vpage);
-    }
+    const std::vector<PageTableEntry *> pages = walkWatchPages(
+        "WatchMemory", addr, size,
+        proc.swapPolicy_ == SwapWatchPolicy::PinPages);
 
     // Evict cached copies so memory holds current data and the next
     // access must go to DRAM (paper: cache effects).
-    std::vector<PhysAddr> plines;
-    plines.reserve(size / kCacheLineSize);
-    for (std::size_t off = 0; off < size; off += kCacheLineSize) {
-        VirtAddr vline = addr + off;
-        VirtAddr vpage = alignDown(vline, kPageSize);
-        PhysAddr pline =
-            space.pageTable.find(vpage)->frame + (vline - vpage);
-        if (proc.watched_.count(pline))
-            panic("WatchMemory: line ", vline, " already watched");
-        cache_.flushLine(pline); // charges kCacheFlushLineCycles
-        plines.push_back(pline);
-    }
+    forEachLine(pages, addr, size,
+                [&](const PageTableEntry &entry, VirtAddr vline,
+                    PhysAddr pline) {
+                    if (entry.watchedLines & watchBit(vline))
+                        panic("WatchMemory: line ", vline,
+                              " already watched");
+                    cache_.flushLine(pline); // charges kCacheFlushLineCycles
+                });
 
     // Figure 2, batched: lock the bus, disable ECC, flip the 3
     // signature bits of every ECC group (check bytes stay stale),
     // restore ECC, unlock. An empty region takes no bus lock.
-    clock_.advance((plines.empty() ? 0 : 2 * kBusLockCycles) +
+    clock_.advance((size == 0 ? 0 : 2 * kBusLockCycles) +
                    2 * kEccModeSwitchCycles);
-    if (!plines.empty()) {
+    if (size != 0) {
         BusLockGuard bus(controller_);
         EccMode saved = controller_.mode();
         controller_.setMode(EccMode::Disabled);
-        for (PhysAddr pline : plines) {
-            clock_.advance(kScrambleLineCycles);
-            for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
-                PhysAddr word_addr = pline + i * kEccGroupSize;
-                std::uint64_t original = controller_.peekWord(word_addr);
-                controller_.writeWordDeviceOp(word_addr,
-                                              scramble_.apply(original));
-            }
-        }
+        forEachLine(pages, addr, size,
+                    [&](const PageTableEntry &, VirtAddr, PhysAddr pline) {
+                        clock_.advance(kScrambleLineCycles);
+                        toggleScramble(pline);
+                    });
         controller_.setMode(saved);
     }
 
@@ -359,42 +379,46 @@ Kernel::watchMemory(VirtAddr addr, std::size_t size)
         // The scramble's whole purpose is to leave every group of the line
         // uncorrectable under the stale check bytes; a clean or merely
         // "corrected" group means the watch would never fire (or worse,
-        // silently corrupt data on the next fill).
+        // silently corrupt data on the next fill). Under a block
+        // geometry the scrambled line must also have gone EDC-stale, or
+        // the fill fast path would wave it through and the decode would
+        // never run (boot checked the fold delta is nonzero; this audits
+        // the datapath actually left it stale).
         const EccCodec &code = controller_.code();
-        for (PhysAddr pline : plines) {
-            for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
-                PhysAddr word_addr = pline + i * kEccGroupSize;
-                SIMCHECK_AUDIT(
-                    AuditDomain::Kernel, "scramble_uncorrectable",
-                    code.decode(controller_.memory().readWord(word_addr),
-                                controller_.memory().readCheck(word_addr))
-                            .status == EccDecodeStatus::Uncorrectable,
-                    "scrambled word at ", word_addr,
-                    " does not decode as a multi-bit fault");
-            }
-        }
-        // Under a block geometry the scrambled line must also have gone
-        // EDC-stale, or the fill fast path would wave it through and the
-        // decode above would never run (boot checked the fold delta is
-        // nonzero; this audits the datapath actually left it stale).
-        if (!controller_.geometry().isWord()) {
-            for (PhysAddr pline : plines) {
-                SIMCHECK_AUDIT(AuditDomain::Kernel, "scramble_edc_stale",
-                               !controller_.edcConsistent(pline),
-                               "scrambled line at ", pline,
-                               " still passes the EDC fast check");
-            }
-        }
+        const PhysicalMemory &memory = controller_.memory();
+        const bool block = !controller_.geometry().isWord();
+        forEachLine(
+            pages, addr, size,
+            [&](const PageTableEntry &, VirtAddr, PhysAddr pline) {
+                std::uint64_t words[kEccGroupsPerLine];
+                std::uint8_t checks[kEccGroupsPerLine];
+                memory.readLine(pline, words, checks);
+                for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+                    SIMCHECK_AUDIT(
+                        AuditDomain::Kernel, "scramble_uncorrectable",
+                        code.decode(words[i], checks[i]).status ==
+                            EccDecodeStatus::Uncorrectable,
+                        "scrambled word at ", pline + i * kEccGroupSize,
+                        " does not decode as a multi-bit fault");
+                }
+                if (block) {
+                    SIMCHECK_AUDIT(AuditDomain::Kernel, "scramble_edc_stale",
+                                   !controller_.edcConsistent(pline),
+                                   "scrambled line at ", pline,
+                                   " still passes the EDC fast check");
+                }
+            });
     }
 
     clock_.advance(kWatchInsertCycles);
-    for (std::size_t off = 0; off < size; off += kCacheLineSize) {
-        proc.watched_[plines[off / kCacheLineSize]] =
-            Process::WatchEntry{addr + off};
-        bump(KernelStat::LinesWatched);
-    }
+    forEachLine(pages, addr, size,
+                [&](PageTableEntry &entry, VirtAddr vline, PhysAddr) {
+                    entry.watchedLines |= watchBit(vline);
+                    ++proc.watchedLineCount_;
+                    bump(KernelStat::LinesWatched);
+                });
     stats_.maxOf(KernelStat::MaxWatchedLines, totalWatchedLineCount());
-    proc.stats_.maxOf(KernelStat::MaxWatchedLines, proc.watched_.size());
+    proc.stats_.maxOf(KernelStat::MaxWatchedLines, proc.watchedLineCount_);
 }
 
 void
@@ -404,19 +428,11 @@ Kernel::disableWatchMemory(VirtAddr addr, std::size_t size)
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::KernelDisableWatchMemory,
                        clock_.now(), addr, size);
     Process &proc = *current_;
-    AddressSpace &space = proc.space_;
     if (!isAligned(addr, kCacheLineSize) || !isAligned(size, kCacheLineSize))
         panic("DisableWatchMemory: region must be cache-line aligned");
 
-    for (VirtAddr vpage = alignDown(addr, kPageSize);
-         vpage < addr + size; vpage += kPageSize) {
-        clock_.advance(kPageTableWalkCycles);
-        PageTableEntry *entry = space.pageTable.find(vpage);
-        if (!entry)
-            panic("DisableWatchMemory: unmapped address ", vpage);
-        if (!entry->present)
-            pageIn(vpage);
-    }
+    const std::vector<PageTableEntry *> pages =
+        walkWatchPages("DisableWatchMemory", addr, size, false);
 
     // The scramble mask is its own inverse, and rewriting with ECC
     // enabled regenerates matching check bytes, clearing the watch.
@@ -427,34 +443,31 @@ Kernel::disableWatchMemory(VirtAddr addr, std::size_t size)
     clock_.advance(size == 0 ? 0 : 2 * kBusLockCycles);
     if (size != 0) {
         BusLockGuard bus(controller_);
-        for (std::size_t off = 0; off < size; off += kCacheLineSize) {
-            // Uncharged re-walk: the charged walks happened in the page
-            // loop above.
-            VirtAddr vline = addr + off;
-            VirtAddr vpage = alignDown(vline, kPageSize);
-            PhysAddr pline =
-                space.pageTable.find(vpage)->frame + (vline - vpage);
-            auto it = proc.watched_.find(pline);
-            if (it == proc.watched_.end())
-                panic("DisableWatchMemory: line ", vline, " not watched");
-
-            clock_.advance(kUnscrambleLineCycles);
-            for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
-                PhysAddr word_addr = pline + i * kEccGroupSize;
-                std::uint64_t scrambled = controller_.peekWord(word_addr);
-                controller_.writeWordDeviceOp(word_addr,
-                                              scramble_.apply(scrambled));
-            }
-            proc.watched_.erase(it);
-            bump(KernelStat::LinesUnwatched);
-        }
+        forEachLine(pages, addr, size,
+                    [&](PageTableEntry &entry, VirtAddr vline,
+                        PhysAddr pline) {
+                        const std::uint64_t bit = watchBit(vline);
+                        if (!(entry.watchedLines & bit))
+                            panic("DisableWatchMemory: line ", vline,
+                                  " not watched");
+                        clock_.advance(kUnscrambleLineCycles);
+                        toggleScramble(pline);
+                        entry.watchedLines &= ~bit;
+                        --proc.watchedLineCount_;
+                        bump(KernelStat::LinesUnwatched);
+                    });
     }
 
     clock_.advance(kWatchRemoveCycles);
     if (proc.swapPolicy_ == SwapWatchPolicy::PinPages) {
-        for (VirtAddr vpage = alignDown(addr, kPageSize);
-             vpage < addr + size; vpage += kPageSize)
-            unpinPage(vpage);
+        VirtAddr vpage = alignDown(addr, kPageSize);
+        for (PageTableEntry *entry : pages) {
+            clock_.advance(kPagePinCycles);
+            if (entry->pinCount == 0)
+                panic("DisableWatchMemory: vpage ", vpage, " not pinned");
+            --entry->pinCount;
+            vpage += kPageSize;
+        }
     }
 }
 
@@ -468,20 +481,15 @@ Kernel::registerEccFaultHandler(UserEccHandler handler)
 bool
 Kernel::isWatched(VirtAddr vaddr) const
 {
-    const AddressSpace &space = current_->space_;
-    VirtAddr vpage = alignDown(vaddr, kPageSize);
-    const PageTableEntry *entry = space.pageTable.find(vpage);
-    if (!entry || !entry->present)
-        return false;
-    PhysAddr pline =
-        entry->frame + (alignDown(vaddr, kCacheLineSize) - vpage);
-    return current_->watched_.count(pline) != 0;
+    const PageTableEntry *entry =
+        current_->space_.pageTable.find(alignDown(vaddr, kPageSize));
+    return entry && (entry->watchedLines & watchBit(vaddr)) != 0;
 }
 
 std::size_t
 Kernel::watchedLineCount() const
 {
-    return current_->watched_.size();
+    return current_->watchedLineCount_;
 }
 
 std::size_t
@@ -489,7 +497,7 @@ Kernel::totalWatchedLineCount() const
 {
     std::size_t total = 0;
     for (const auto &proc : processes_)
-        total += proc->watched_.size();
+        total += proc->watchedLineCount_;
     return total;
 }
 
@@ -640,7 +648,7 @@ Kernel::tick()
 void
 Kernel::setSwapWatchPolicy(SwapWatchPolicy policy)
 {
-    if (!current_->watched_.empty())
+    if (current_->watchedLineCount_ != 0)
         panic("Kernel: cannot change the swap/watch policy while lines "
               "are watched");
     current_->swapPolicy_ = policy;
@@ -664,42 +672,30 @@ Kernel::swapOutPage(VirtAddr vaddr)
     if (!entry || !entry->present || entry->pinCount > 0)
         return false;
 
-    if (proc.swapPolicy_ == SwapWatchPolicy::UnwatchRewatch) {
-        // Lift any watches on this page before the frame leaves; the
-        // hook (SafeMem's library) parks them for the swap-in side.
-        bool page_watched = false;
-        for (std::size_t l = 0; l < kPageSize / kCacheLineSize; ++l) {
-            if (proc.watched_.count(entry->frame + l * kCacheLineSize)) {
-                page_watched = true;
-                break;
-            }
-        }
-        if (page_watched) {
-            if (!proc.preSwapOutHook_)
-                panic("Kernel: watched page swapping out with no "
-                      "pre-swap hook registered");
-            proc.preSwapOutHook_(vpage);
-            for (std::size_t l = 0; l < kPageSize / kCacheLineSize; ++l) {
-                if (proc.watched_.count(entry->frame + l * kCacheLineSize))
-                    panic("Kernel: pre-swap hook left line watched on "
-                          "vpage ", vpage);
-            }
-            bump(KernelStat::WatchedPagesSwapped);
-        }
+    // Lift any watches on this page before the frame leaves; the hook
+    // (SafeMem's library) parks them for the swap-in side. (Under
+    // PinPages a watched page is pinned and never gets here.)
+    if (entry->watchedLines != 0) {
+        if (!proc.preSwapOutHook_)
+            panic("Kernel: watched page swapping out with no "
+                  "pre-swap hook registered");
+        proc.preSwapOutHook_(vpage);
+        if (entry->watchedLines != 0)
+            panic("Kernel: pre-swap hook left line watched on vpage ",
+                  vpage);
+        bump(KernelStat::WatchedPagesSwapped);
     }
 
     clock_.advance(kSwapPageCycles, CostCenter::Kernel);
 
     // Writeback any cached lines of this frame, then copy it out.
-    for (std::size_t l = 0; l < kPageSize / kCacheLineSize; ++l)
+    for (std::size_t l = 0; l < kLinesPerPage; ++l)
         cache_.flushLine(entry->frame + l * kCacheLineSize);
 
-    std::vector<std::uint8_t> &store = space.swapStore[vpage];
-    store.resize(kPageSize);
-    for (std::size_t off = 0; off < kPageSize; off += kEccGroupSize) {
-        std::uint64_t word = controller_.peekWord(entry->frame + off);
-        std::memcpy(store.data() + off, &word, sizeof(word));
-    }
+    std::vector<LineWords> &store = space.swapStore[vpage];
+    store.resize(kLinesPerPage);
+    for (std::size_t l = 0; l < kLinesPerPage; ++l)
+        store[l] = controller_.peekLine(entry->frame + l * kCacheLineSize);
 
     freeFrame(entry->frame);
     space.pageTable.markSwappedOut(vpage);
@@ -724,11 +720,9 @@ Kernel::pageIn(VirtAddr vpage)
     // Restoring through the controller with ECC enabled regenerates fresh
     // check bytes — which is exactly why an unpinned watched page loses
     // its watch across a swap cycle (paper §2.2.2).
-    for (std::size_t off = 0; off < kPageSize; off += kEccGroupSize) {
-        std::uint64_t word;
-        std::memcpy(&word, it->second.data() + off, sizeof(word));
-        controller_.writeWordDeviceOp(frame + off, word);
-    }
+    for (std::size_t l = 0; l < kLinesPerPage; ++l)
+        controller_.writeLineDeviceOp(frame + l * kCacheLineSize,
+                                      it->second[l]);
     space.swapStore.erase(it);
     space.pageTable.markSwappedIn(vpage, frame);
     bump(KernelStat::PagesSwappedIn);
@@ -774,56 +768,54 @@ Kernel::auditInvariants() const
         });
 
         // A frame backs at most one page of one process — address spaces
-        // never share memory.
+        // never share memory. A page with watched lines must be resident
+        // (swap-out lifts its watches first) and, under PinPages,
+        // pinned.
+        std::size_t masked_lines = 0;
         space.pageTable.forEach([&](VirtAddr vpage,
                                     const PageTableEntry &entry) {
-            if (!entry.present)
+            if (entry.present) {
+                auto [it, fresh] = owned.emplace(entry.frame, proc->pid());
+                SIMCHECK_AUDIT(AuditDomain::Kernel, "frame_exclusive", fresh,
+                               "frame ", entry.frame, " mapped by pid ",
+                               proc->pid(), " and pid ", it->second,
+                               " (vpage ", vpage, ")");
+            }
+            if (entry.watchedLines == 0)
                 return;
-            auto [it, fresh] = owned.emplace(entry.frame, proc->pid());
-            SIMCHECK_AUDIT(AuditDomain::Kernel, "frame_exclusive", fresh,
-                           "frame ", entry.frame, " mapped by pid ",
-                           proc->pid(), " and pid ", it->second,
-                           " (vpage ", vpage, ")");
+            masked_lines += static_cast<std::size_t>(
+                std::popcount(entry.watchedLines));
+            SIMCHECK_AUDIT(AuditDomain::Kernel, "watched_page_resident",
+                           entry.present, "pid ", proc->pid(),
+                           " has watched lines on non-resident vpage ",
+                           vpage);
+            if (proc->swapPolicy_ == SwapWatchPolicy::PinPages) {
+                SIMCHECK_AUDIT(AuditDomain::Kernel, "watched_page_pinned",
+                               entry.pinCount > 0, "pid ", proc->pid(),
+                               " has watched lines on unpinned vpage ",
+                               vpage, " under PinPages");
+            }
         });
 
-        // Watch bookkeeping must reconcile with the per-process syscall
+        // The watched-line count must equal the lines the page-table
+        // masks record, and reconcile with the per-process syscall
         // history: every watched line entered through WatchMemory and
         // left through DisableWatchMemory (or a swap hook, which goes
         // through the same syscall).
+        SIMCHECK_AUDIT(AuditDomain::Kernel, "watch_count_matches_masks",
+                       proc->watchedLineCount_ == masked_lines, "pid ",
+                       proc->pid(), ": ", proc->watchedLineCount_,
+                       " lines watched but the page-table masks hold ",
+                       masked_lines);
         SIMCHECK_AUDIT(
             AuditDomain::Kernel, "watch_count_matches_history",
-            proc->watched_.size() ==
+            proc->watchedLineCount_ ==
                 proc->stats_.get(KernelStat::LinesWatched) -
                     proc->stats_.get(KernelStat::LinesUnwatched),
-            "pid ", proc->pid(), ": ", proc->watched_.size(),
+            "pid ", proc->pid(), ": ", proc->watchedLineCount_,
             " lines watched but history says ",
             proc->stats_.get(KernelStat::LinesWatched), " - ",
             proc->stats_.get(KernelStat::LinesUnwatched));
-
-        for (const auto &[pline, entry] : proc->watched_) {
-            PhysAddr frame = alignDown(pline, kPageSize);
-            auto vpage = space.pageTable.reverse(frame);
-            SIMCHECK_AUDIT(AuditDomain::Kernel, "watched_line_mapped",
-                           vpage.has_value(), "watched phys line ", pline,
-                           " backs no mapped page of pid ", proc->pid());
-            if (!vpage)
-                continue;
-            const PageTableEntry *pte = space.pageTable.find(*vpage);
-            SIMCHECK_AUDIT(AuditDomain::Kernel, "watched_page_resident",
-                           pte && pte->present, "watched phys line ", pline,
-                           " on a non-resident page");
-            if (proc->swapPolicy_ == SwapWatchPolicy::PinPages) {
-                SIMCHECK_AUDIT(AuditDomain::Kernel, "watched_page_pinned",
-                               pte && pte->pinCount > 0,
-                               "watched phys line ", pline,
-                               " on an unpinned page under PinPages");
-            }
-            SIMCHECK_AUDIT(AuditDomain::Kernel, "watch_vline_translates",
-                           *vpage + (pline - frame) == entry.vline,
-                           "watch entry for phys line ", pline,
-                           " recorded vline ", entry.vline,
-                           " but the frame maps to vpage ", *vpage);
-        }
     }
 
     // The machine-wide aggregate must reconcile the same way.

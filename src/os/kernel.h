@@ -259,8 +259,21 @@ class Kernel
 
   private:
     void onEccInterrupt(const EccFaultInfo &info);
-    void pinPage(VirtAddr vpage);
-    void unpinPage(VirtAddr vpage);
+
+    /**
+     * The page walk of WatchMemory/DisableWatchMemory (@p syscall names
+     * it in panics): charge one walk per page of [addr, addr + size),
+     * page it in if swapped out and, when @p pin, pin it.
+     * @return the entries of those pages, in address order.
+     */
+    std::vector<PageTableEntry *> walkWatchPages(const char *syscall,
+                                                 VirtAddr addr,
+                                                 std::size_t size, bool pin);
+
+    /** Flip the scramble signature of every word of the line at
+     *  @p pline with one line read and one line write; the mask is its
+     *  own inverse, so this scrambles and restores. Uncharged. */
+    void toggleScramble(PhysAddr pline);
     PhysAddr allocFrame();
     void freeFrame(PhysAddr frame);
     void pageIn(VirtAddr vpage);

@@ -5,8 +5,8 @@
  * Maps 4 KiB virtual pages onto physical frames and carries the state the
  * rest of the OS layer needs: an accessibility bit (mprotect/PROT_NONE —
  * the page-protection monitoring baseline), a pin count (ECC watchpoints
- * pin their pages, paper §2.2.2 "Dealing with Page Swapping"), and
- * swap-residency.
+ * pin their pages, paper §2.2.2 "Dealing with Page Swapping"),
+ * swap-residency, and which of the page's lines WatchMemory scrambled.
  */
 
 #pragma once
@@ -19,6 +19,18 @@
 
 namespace safemem {
 
+/** Cache lines per page: one bit each in PageTableEntry::watchedLines. */
+inline constexpr std::size_t kLinesPerPage = kPageSize / kCacheLineSize;
+static_assert(kLinesPerPage == 64, "watchedLines holds one bit per line");
+
+/** @return the PageTableEntry::watchedLines bit of the line holding
+ *  @p addr, a virtual or physical address (their page offsets agree). */
+inline std::uint64_t
+watchBit(std::uint64_t addr)
+{
+    return std::uint64_t{1} << (addr % kPageSize / kCacheLineSize);
+}
+
 /** State of one mapped virtual page. */
 struct PageTableEntry
 {
@@ -26,6 +38,10 @@ struct PageTableEntry
     bool present = true;     ///< false while swapped out
     bool accessible = true;  ///< false under PROT_NONE
     std::uint32_t pinCount = 0; ///< >0 blocks swapping
+    /** Bit i set: line i of the frame is scrambled by WatchMemory.
+     *  While non-zero, swap-out must lift the watches first and unmap
+     *  panics. */
+    std::uint64_t watchedLines = 0;
 };
 
 class PageTable

@@ -4,9 +4,10 @@
  * to one running program rather than to the machine.
  *
  * A Process owns an AddressSpace (page table, TLB, allocation cursor,
- * swap images), its watched-line set, its registered ECC/SIGSEGV fault
- * handlers and tool access hook, its swap/scrub coordination hooks, and
- * a per-process view of the kernel syscall counters. The Kernel keeps a
+ * swap images; the page-table entries record which lines are watched),
+ * its watched-line count, its registered ECC/SIGSEGV fault handlers and
+ * tool access hook, its swap/scrub coordination hooks, and a
+ * per-process view of the kernel syscall counters. The Kernel keeps a
  * vector of these plus a current-process pointer; the cache, memory
  * controller, scrubber, bus lock and frame free list stay shared machine
  * resources (consolidation is the point — many watch sets, one scrubber).
@@ -29,6 +30,7 @@
 #include "common/stats.h"
 #include "common/types.h"
 #include "mem/fault.h"
+#include "mem/line.h"
 #include "os/page_table.h"
 #include "os/tlb.h"
 
@@ -135,8 +137,8 @@ struct AddressSpace
     Tlb tlb;
     /** Next fresh mapping address (bump allocation, never reused). */
     VirtAddr nextVirt = 0x10000000;
-    /** Swapped-out page images, keyed by vpage. */
-    std::unordered_map<VirtAddr, std::vector<std::uint8_t>> swapStore;
+    /** Swapped-out page images (kLinesPerPage lines), keyed by vpage. */
+    std::unordered_map<VirtAddr, std::vector<LineWords>> swapStore;
 };
 
 class Process
@@ -167,22 +169,18 @@ class Process
     const StatSet &stats() const { return stats_; }
 
     /** @return number of lines this process currently watches. */
-    std::size_t watchedLineCount() const { return watched_.size(); }
+    std::size_t watchedLineCount() const { return watchedLineCount_; }
 
   private:
     friend class Kernel;
-
-    struct WatchEntry
-    {
-        VirtAddr vline = 0;
-    };
 
     Pid pid_;
     bool alive_ = true;
     AddressSpace space_;
 
-    /** Watched physical lines owned by this process. */
-    std::unordered_map<PhysAddr, WatchEntry> watched_;
+    /** Lines this process watches: the popcount sum of its page-table
+     *  entries' watchedLines masks. */
+    std::size_t watchedLineCount_ = 0;
 
     UserEccHandler eccHandler_;
     UserSegvHandler segvHandler_;

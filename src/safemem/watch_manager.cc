@@ -1,5 +1,7 @@
 #include "safemem/watch_manager.h"
 
+#include <iterator>
+
 #include "check/simcheck.h"
 #include "common/logging.h"
 #include "trace/trace.h"
@@ -131,10 +133,16 @@ EccWatchManager::watch(VirtAddr base, std::size_t size, WatchKind kind,
         panic("EccWatchManager: region ", base, "+", size,
               " is not line aligned");
 
-    for (std::size_t off = 0; off < size; off += kCacheLineSize) {
-        if (lineToRegion_.count(base + off))
-            panic("EccWatchManager: line ", base + off, " already watched");
+    // Regions never overlap, so only the neighbours on either side of
+    // base can overlap the new one.
+    auto next = regions_.lower_bound(base);
+    if (next != regions_.begin()) {
+        const Region &prev = std::prev(next)->second;
+        if (prev.base + prev.size > base)
+            panic("EccWatchManager: line ", base, " already watched");
     }
+    if (next != regions_.end() && next->first < base + size)
+        panic("EccWatchManager: line ", next->first, " already watched");
     for (const Region &parked : swapParked_) {
         if (base < parked.base + parked.size && parked.base < base + size)
             panic("EccWatchManager: region ", base,
@@ -157,13 +165,11 @@ EccWatchManager::watch(VirtAddr base, std::size_t size, WatchKind kind,
 
     // Save the original contents into SafeMem's private memory — the
     // hardware-error discriminator needs them (§2.2.2).
-    region.originalWords.resize(size / kEccGroupSize);
-    machine_.read(base, region.originalWords.data(), size);
+    region.originalLines.resize(size / kCacheLineSize);
+    machine_.read(base, region.originalLines.data(), size);
 
     machine_.kernel().watchMemory(base, size);
 
-    for (std::size_t off = 0; off < size; off += kCacheLineSize)
-        lineToRegion_[base + off] = base;
     watchedBytes_ += size;
     stats_.add(WatchStat::RegionsWatched);
     stats_.maxOf(WatchStat::PeakWatchedBytes, watchedBytes_);
@@ -173,15 +179,23 @@ EccWatchManager::watch(VirtAddr base, std::size_t size, WatchKind kind,
                        static_cast<std::uint64_t>(kind));
 }
 
+EccWatchManager::RegionMap::iterator
+EccWatchManager::regionHolding(VirtAddr addr)
+{
+    auto it = regions_.upper_bound(addr);
+    if (it == regions_.begin())
+        return regions_.end();
+    --it;
+    return addr < it->first + it->second.size ? it : regions_.end();
+}
+
 void
-EccWatchManager::dropRegion(std::map<VirtAddr, Region>::iterator it)
+EccWatchManager::dropRegion(RegionMap::iterator it)
 {
     const Region &region = it->second;
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchDrop,
                        machine_.clock().now(), region.base, region.size);
     machine_.kernel().disableWatchMemory(region.base, region.size);
-    for (std::size_t off = 0; off < region.size; off += kCacheLineSize)
-        lineToRegion_.erase(region.base + off);
     watchedBytes_ -= region.size;
     regions_.erase(it);
 }
@@ -241,8 +255,8 @@ FaultDecision
 EccWatchManager::onEccFault(const UserEccFault &fault)
 {
     VirtAddr vline = alignDown(fault.vaddr, kCacheLineSize);
-    auto line_it = lineToRegion_.find(vline);
-    if (line_it == lineToRegion_.end()) {
+    auto it = regionHolding(vline);
+    if (it == regions_.end()) {
         // Not one of ours: a genuine hardware error somewhere else.
         if (inRepair_)
             panic("EccWatchManager: nested ECC fault at line ", vline,
@@ -254,9 +268,6 @@ EccWatchManager::onEccFault(const UserEccFault &fault)
         return FaultDecision::HardwareError;
     }
 
-    auto it = regions_.find(line_it->second);
-    if (it == regions_.end())
-        panic("EccWatchManager: dangling line->region mapping");
     const Region &region = it->second;
 
     // Everything from here on is monitoring work, not application work.
@@ -269,14 +280,13 @@ EccWatchManager::onEccFault(const UserEccFault &fault)
     // against memory: a mismatch means a real hardware error struck the
     // watched line (§2.2.2).
     MemoryController &controller = machine_.controller();
-    std::size_t first_word = (vline - region.base) / kEccGroupSize;
+    const LineWords current =
+        controller.peekLine(alignDown(fault.lineAddr, kCacheLineSize));
+    const LineWords &original =
+        region.originalLines[(vline - region.base) / kCacheLineSize];
     bool signature_intact = true;
     for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
-        std::uint64_t current = controller.peekWord(
-            alignDown(fault.lineAddr, kCacheLineSize) + i * kEccGroupSize);
-        std::uint64_t expected =
-            scramble_.apply(region.originalWords[first_word + i]);
-        if (current != expected) {
+        if (current[i] != scramble_.apply(original[i])) {
             signature_intact = false;
             break;
         }
@@ -295,14 +305,13 @@ EccWatchManager::onEccFault(const UserEccFault &fault)
         inRepair_ = true;
         Region saved = region;
         dropRegion(it);
-        // Repair through the device-op path: writeWordDeviceOp rewrites
-        // each word with freshly encoded check bytes without any cache
+        // Repair through the device-op path: writeLineDeviceOp rewrites
+        // each line with freshly encoded check bytes without any cache
         // traffic. A machine_.write() here would write-allocate, and the
         // read-for-ownership fill would pull the still-corrupted line
         // through the controller — a nested ECC fault inside the fault
         // handler (the inRepair_ guard above turns that into a panic
         // rather than unbounded recursion).
-        MemoryController &controller_ref = machine_.controller();
         Kernel &kernel = machine_.kernel();
         for (std::size_t off = 0; off < saved.size; off += kCacheLineSize) {
             PhysAddr pline = kernel.translate(saved.base + off);
@@ -310,10 +319,8 @@ EccWatchManager::onEccFault(const UserEccFault &fault)
             // flushed them and faulted fills never install), but flush
             // defensively so a stale copy can never shadow the repair.
             machine_.cache().flushLine(pline);
-            for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-                controller_ref.writeWordDeviceOp(
-                    pline + i * kEccGroupSize,
-                    saved.originalWords[off / kEccGroupSize + i]);
+            controller.writeLineDeviceOp(
+                pline, saved.originalLines[off / kCacheLineSize]);
         }
         inRepair_ = false;
         SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchRepairDone,

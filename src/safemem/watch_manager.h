@@ -21,12 +21,12 @@
 
 #include <cstdint>
 #include <map>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
 #include "common/mutex.h"
 #include "ecc/scramble.h"
+#include "mem/line.h"
 #include "os/machine.h"
 #include "safemem/watch_backend.h"
 
@@ -126,12 +126,17 @@ class EccWatchManager : public WatchBackend
         std::size_t size = 0;
         WatchKind kind = WatchKind::LeakSuspect;
         std::uint64_t cookie = 0;
-        /** Private copy of the original data (one word per ECC group). */
-        std::vector<std::uint64_t> originalWords;
+        /** Private copy of the original data, one entry per line. */
+        std::vector<LineWords> originalLines;
     };
 
+    using RegionMap = std::map<VirtAddr, Region>;
+
+    /** @return the watched region holding @p addr, or regions_.end(). */
+    RegionMap::iterator regionHolding(VirtAddr addr);
+
     /** Remove @p region's kernel watches and bookkeeping. */
-    void dropRegion(std::map<VirtAddr, Region>::iterator it);
+    void dropRegion(RegionMap::iterator it);
 
     /**
      * @name Kernel scrub-hook trampolines
@@ -159,10 +164,10 @@ class EccWatchManager : public WatchBackend
      *  repair itself pulled the bad line through the controller. */
     bool inRepair_ = false;
 
-    /** Watched regions keyed by base address. */
-    std::map<VirtAddr, Region> regions_;
-    /** Line address -> owning region base. */
-    std::unordered_map<VirtAddr, VirtAddr> lineToRegion_;
+    /** Watched regions keyed by base address. Regions never overlap,
+     *  so the one holding an address is the last starting at or below
+     *  it. */
+    RegionMap regions_;
 
     /** Compile-time face of the park/restore pairing discipline. */
     Capability scrubPark_;

@@ -126,19 +126,27 @@ class SwapPolicyTest : public ::testing::Test
 
 TEST_F(SwapPolicyTest, WatchedPageCanSwapUnderNewPolicy)
 {
-    machine.store<std::uint64_t>(region, 0x77ULL);
-    manager.watch(region, kCacheLineSize, WatchKind::FreedBuffer, 1);
-    EXPECT_TRUE(machine.kernel().swapOutPage(region))
-        << "no pin under UnwatchRewatch";
-    EXPECT_FALSE(machine.kernel().pageResident(region));
-    // Parked regions stay logically watched (the owner can still
-    // cancel them) even though no line is scrambled right now.
-    EXPECT_TRUE(manager.isWatched(region));
-    EXPECT_FALSE(machine.kernel().isWatched(region))
-        << "no scrambled line while swapped out";
-    manager.unwatch(region); // cancelling a parked watch must work
-    EXPECT_FALSE(manager.isWatched(region));
-    EXPECT_EQ(manager.stats().get("parked_regions_cancelled"), 1u);
+    // Line 0 and line 63, the bottom and top bits of the page's mask.
+    for (std::size_t index : {std::size_t{0}, kLinesPerPage - 1}) {
+        SCOPED_TRACE(index);
+        const VirtAddr page = machine.kernel().mapRegion(kPageSize);
+        const VirtAddr line = page + index * kCacheLineSize;
+        machine.store<std::uint64_t>(line, 0x77ULL);
+        manager.watch(line, kCacheLineSize, WatchKind::FreedBuffer, 1);
+        EXPECT_TRUE(machine.kernel().swapOutPage(page))
+            << "no pin under UnwatchRewatch";
+        EXPECT_FALSE(machine.kernel().pageResident(page));
+        // Parked regions stay logically watched (the owner can still
+        // cancel them) even though no line is scrambled right now.
+        EXPECT_TRUE(manager.isWatched(line));
+        EXPECT_FALSE(machine.kernel().isWatched(line))
+            << "no scrambled line while swapped out";
+        manager.unwatch(line); // cancelling a parked watch must work
+        EXPECT_FALSE(manager.isWatched(line));
+        EXPECT_EQ(machine.load<std::uint64_t>(line), 0x77ULL);
+        EXPECT_EQ(faults, 0);
+    }
+    EXPECT_EQ(manager.stats().get("parked_regions_cancelled"), 2u);
 }
 
 TEST_F(SwapPolicyTest, WatchSurvivesSwapCycle)

@@ -96,7 +96,7 @@ TEST_F(KernelTest, WatchMemoryScramblesAndPins)
 
     PhysAddr frame = kernel.translate(base + kPageSize - 1) -
                      (kPageSize - 1);
-    const std::uint64_t stored = machine.controller().peekWord(frame);
+    const std::uint64_t stored = machine.controller().peekLine(frame)[0];
     const std::uint8_t check = machine.physicalMemory().readCheck(frame);
     EXPECT_EQ(stored, kernel.scramblePattern().apply(0x1234ULL));
     // Paper Figure 2: the data was scrambled with ECC off, so the check
@@ -110,7 +110,7 @@ TEST_F(KernelTest, WatchMemoryScramblesAndPins)
 
     kernel.disableWatchMemory(base, kCacheLineSize);
     EXPECT_FALSE(kernel.isWatched(base));
-    EXPECT_EQ(machine.controller().peekWord(frame), 0x1234ULL);
+    EXPECT_EQ(machine.controller().peekLine(frame)[0], 0x1234ULL);
     EXPECT_TRUE(machine.kernel().swapOutPage(base)) << "unpinned again";
 }
 
@@ -300,6 +300,109 @@ TEST_F(KernelTest, SyscallCostsMatchTable2)
     EXPECT_NEAR(cyclesToMicros(watch), 2.0, 0.1);
     EXPECT_NEAR(cyclesToMicros(disable), 1.5, 0.1);
     EXPECT_NEAR(cyclesToMicros(mprotect), 1.02, 0.05);
+}
+
+/** @return the watchedLines mask of the current process's page
+ *  holding @p vaddr. */
+std::uint64_t
+watchMask(Machine &machine, VirtAddr vaddr)
+{
+    const PageTableEntry *entry =
+        machine.kernel().currentProcess().pageTable().find(
+            alignDown(vaddr, kPageSize));
+    return entry ? entry->watchedLines : 0;
+}
+
+TEST_F(KernelTest, WatchOfTheLastLineSetsTheTopMaskBit)
+{
+    Kernel &kernel = machine.kernel();
+    VirtAddr base = kernel.mapRegion(2 * kPageSize);
+    const VirtAddr last = base + (kLinesPerPage - 1) * kCacheLineSize;
+    machine.store<std::uint64_t>(last + 56, 0x5151ULL);
+
+    kernel.watchMemory(last, kCacheLineSize);
+    EXPECT_EQ(watchMask(machine, base), std::uint64_t{1} << 63);
+    EXPECT_EQ(watchMask(machine, base + kPageSize), 0u);
+    EXPECT_TRUE(kernel.isWatched(last + 56));
+    EXPECT_FALSE(kernel.isWatched(last - kCacheLineSize));
+    EXPECT_FALSE(kernel.isWatched(last + kCacheLineSize))
+        << "line 0 of the next page";
+    EXPECT_EQ(kernel.watchedLineCount(), 1u);
+    kernel.auditInvariants();
+
+    kernel.disableWatchMemory(last, kCacheLineSize);
+    EXPECT_EQ(watchMask(machine, base), 0u);
+    EXPECT_EQ(kernel.watchedLineCount(), 0u);
+    EXPECT_EQ(machine.load<std::uint64_t>(last + 56), 0x5151ULL);
+}
+
+TEST_F(KernelTest, WatchOfAWholePageSetsEveryMaskBit)
+{
+    Kernel &kernel = machine.kernel();
+    VirtAddr base = kernel.mapRegion(kPageSize);
+    for (std::size_t off = 0; off < kPageSize; off += kEccGroupSize)
+        machine.store<std::uint64_t>(base + off, off * 0x9e3779b9ULL);
+    PhysAddr frame = *kernel.peekTranslate(base);
+
+    kernel.watchMemory(base, kPageSize);
+    EXPECT_EQ(watchMask(machine, base), ~std::uint64_t{0});
+    EXPECT_EQ(kernel.watchedLineCount(), kLinesPerPage);
+    EXPECT_EQ(machine.controller().peekLine(frame + kPageSize -
+                                            kCacheLineSize)[7],
+              kernel.scramblePattern().apply((kPageSize - 8) *
+                                             0x9e3779b9ULL));
+    EXPECT_FALSE(kernel.swapOutPage(base));
+    kernel.auditInvariants();
+
+    kernel.disableWatchMemory(base, kPageSize);
+    EXPECT_EQ(watchMask(machine, base), 0u);
+    EXPECT_EQ(kernel.watchedLineCount(), 0u);
+    for (std::size_t off = 0; off < kPageSize; off += kEccGroupSize)
+        ASSERT_EQ(machine.load<std::uint64_t>(base + off),
+                  off * 0x9e3779b9ULL);
+    EXPECT_TRUE(kernel.swapOutPage(base)) << "unpinned again";
+}
+
+TEST_F(KernelTest, WatchAcrossAPageBoundaryMarksBothPages)
+{
+    Kernel &kernel = machine.kernel();
+    VirtAddr base = kernel.mapRegion(2 * kPageSize);
+    const VirtAddr start = base + kPageSize - 2 * kCacheLineSize;
+
+    kernel.watchMemory(start, 4 * kCacheLineSize);
+    EXPECT_EQ(watchMask(machine, base), std::uint64_t{3} << 62);
+    EXPECT_EQ(watchMask(machine, base + kPageSize), 3u);
+    EXPECT_EQ(kernel.watchedLineCount(), 4u);
+    EXPECT_FALSE(kernel.swapOutPage(base)) << "both pages pinned";
+    EXPECT_FALSE(kernel.swapOutPage(base + kPageSize));
+    kernel.auditInvariants();
+
+    kernel.disableWatchMemory(start, 4 * kCacheLineSize);
+    EXPECT_EQ(watchMask(machine, base), 0u);
+    EXPECT_EQ(watchMask(machine, base + kPageSize), 0u);
+    EXPECT_TRUE(kernel.swapOutPage(base));
+    EXPECT_TRUE(kernel.swapOutPage(base + kPageSize));
+}
+
+TEST_F(KernelTest, UnmapOfWatchedPagePanics)
+{
+    // Under UnwatchRewatch no pin holds a watched page, but its frame is
+    // still scrambled: freed, the next owner's first load would take an
+    // uncorrectable ECC fault it never asked for.
+    Kernel &kernel = machine.kernel();
+    kernel.setSwapWatchPolicy(SwapWatchPolicy::UnwatchRewatch);
+    VirtAddr base = kernel.mapRegion(kPageSize);
+    const VirtAddr line = base + 5 * kCacheLineSize;
+    kernel.watchMemory(line, kCacheLineSize);
+
+    EXPECT_THROW(kernel.unmapRegion(base, kPageSize), PanicError);
+    EXPECT_TRUE(kernel.pageMapped(base));
+    EXPECT_EQ(kernel.totalWatchedLineCount(), 1u);
+
+    kernel.disableWatchMemory(line, kCacheLineSize);
+    kernel.unmapRegion(base, kPageSize);
+    EXPECT_FALSE(kernel.pageMapped(base));
+    EXPECT_EQ(kernel.totalWatchedLineCount(), 0u);
 }
 
 TEST_F(KernelTest, UnmapPinnedPagePanics)

@@ -186,7 +186,9 @@ TEST_F(ControllerTest, DisabledModeSkipsChecksAndStalesChecks)
     std::uint8_t old_check = memory.readCheck(0);
 
     controller.setMode(EccMode::Disabled);
-    controller.writeWordDeviceOp(0, 0x2020ULL);
+    LineWords words = controller.peekLine(0);
+    words[0] = 0x2020ULL;
+    controller.writeLineDeviceOp(0, words);
     EXPECT_EQ(memory.readCheck(0), old_check);
 
     // Reads with ECC disabled never check.
@@ -200,11 +202,68 @@ TEST_F(ControllerTest, DisabledModeSkipsChecksAndStalesChecks)
     EXPECT_EQ(interrupts, 1);
 }
 
-TEST_F(ControllerTest, DeviceWriteWithEccOnRegeneratesCheck)
+TEST_F(ControllerTest, LineDeviceWriteFollowsThePerWordRuleInEveryMode)
 {
-    controller.writeWordDeviceOp(8, 0x7777ULL);
-    EXPECT_EQ(memory.readCheck(8),
-              defaultCodec().encode(0x7777ULL));
+    // Oracle, one word at a time: under Disabled the stored check byte
+    // keeps its old value, in every other mode it is encode(word).
+    const EccCodec &code = defaultCodec();
+    const EccMode modes[] = {EccMode::Disabled, EccMode::CheckOnly,
+                             EccMode::CorrectError,
+                             EccMode::CorrectAndScrub};
+    for (EccMode mode : modes) {
+        SCOPED_TRACE(static_cast<int>(mode));
+        const PhysAddr line = 512;
+        std::uint8_t before[kEccGroupsPerLine];
+        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+            before[i] = static_cast<std::uint8_t>(0x11 * (i + 1));
+            memory.writeCheck(line + i * kEccGroupSize, before[i]);
+        }
+
+        LineWords words;
+        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
+            words[i] = (0x0123456789abcdefULL * (i + 3)) ^ (1ULL << (i * 7));
+        controller.setMode(mode);
+        const Cycles t0 = clock.now();
+        controller.writeLineDeviceOp(line, words);
+        EXPECT_EQ(clock.now(), t0) << "device ops charge no cycles";
+
+        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+            const PhysAddr addr = line + i * kEccGroupSize;
+            EXPECT_EQ(memory.readWord(addr), words[i]) << "word " << i;
+            const std::uint8_t want =
+                mode == EccMode::Disabled
+                    ? before[i]
+                    : static_cast<std::uint8_t>(code.encode(words[i]));
+            EXPECT_EQ(memory.readCheck(addr), want) << "word " << i;
+        }
+        // Only the addressed line moved.
+        EXPECT_EQ(memory.readWord(line - kEccGroupSize), 0u);
+        EXPECT_EQ(memory.readWord(line + kCacheLineSize), 0u);
+    }
+    EXPECT_EQ(interrupts, 0);
+}
+
+TEST_F(ControllerTest, PeekLineReturnsAnInjectedFlipUncorrected)
+{
+    LineData line{};
+    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
+        setLineWord(line, i, 0xa5a5a5a5a5a5a5a5ULL + i);
+    controller.evictLine(192, line);
+    memory.flipDataBit(192 + 5 * kEccGroupSize, 17);
+
+    const LineWords words = controller.peekLine(192);
+    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+        const std::uint64_t want =
+            (0xa5a5a5a5a5a5a5a5ULL + i) ^ (i == 5 ? 1ULL << 17 : 0);
+        EXPECT_EQ(words[i], want) << "word " << i;
+    }
+    // A peek neither decodes nor heals: the flip is still in DRAM and
+    // nothing was counted or raised.
+    EXPECT_EQ(memory.readWord(192 + 5 * kEccGroupSize),
+              (0xa5a5a5a5a5a5a5a5ULL + 5) ^ (1ULL << 17));
+    EXPECT_EQ(controller.stats().get("single_bit_corrected"), 0u);
+    EXPECT_EQ(interrupts, 0);
+    EXPECT_THROW(controller.peekLine(200), PanicError);
 }
 
 TEST_F(ControllerTest, ScrubCorrectsSinglesAndReportsMulti)

@@ -87,9 +87,77 @@ TEST_F(WatchManagerTest, DataPreservedThroughWatchCycle)
 
 TEST_F(WatchManagerTest, OverlappingWatchPanics)
 {
-    manager.watch(region, 128, WatchKind::LeakSuspect, 1);
-    EXPECT_THROW(manager.watch(region + 64, 64, WatchKind::LeakSuspect, 2),
-                 PanicError);
+    // Watched: lines 2-3 and line 8.
+    manager.watch(region + 2 * kCacheLineSize, 2 * kCacheLineSize,
+                  WatchKind::LeakSuspect, 1);
+    manager.watch(region + 8 * kCacheLineSize, kCacheLineSize,
+                  WatchKind::LeakSuspect, 2);
+    struct Shape
+    {
+        const char *name;
+        std::size_t firstLine;
+        std::size_t lines;
+    };
+    const Shape shapes[] = {
+        {"same base, inside", 2, 1},
+        {"identical", 2, 2},
+        {"starts inside", 3, 2},
+        {"ends inside", 1, 2},
+        {"encloses", 1, 4},
+        {"clears the left neighbour, reaches the right one", 4, 5},
+        {"encloses both", 0, 10},
+    };
+    for (const Shape &shape : shapes) {
+        SCOPED_TRACE(shape.name);
+        EXPECT_THROW(manager.watch(region + shape.firstLine * kCacheLineSize,
+                                   shape.lines * kCacheLineSize,
+                                   WatchKind::LeakSuspect, 3),
+                     PanicError);
+    }
+    EXPECT_EQ(manager.regionCount(), 2u) << "a refused watch changes nothing";
+    EXPECT_EQ(machine.kernel().watchedLineCount(), 3u);
+}
+
+TEST_F(WatchManagerTest, ExactNeighboursDoNotOverlap)
+{
+    manager.watch(region + 2 * kCacheLineSize, 2 * kCacheLineSize,
+                  WatchKind::LeakSuspect, 1);
+    // One region ending where it starts, one starting where it ends.
+    EXPECT_NO_THROW(manager.watch(region, 2 * kCacheLineSize,
+                                  WatchKind::GuardFront, 2));
+    EXPECT_NO_THROW(manager.watch(region + 4 * kCacheLineSize,
+                                  kCacheLineSize, WatchKind::GuardRear, 3));
+    EXPECT_EQ(manager.regionCount(), 3u);
+    EXPECT_EQ(machine.kernel().watchedLineCount(), 5u);
+}
+
+TEST_F(WatchManagerTest, FaultOnTheLastLineDispatchesToItsRegion)
+{
+    machine.store<std::uint64_t>(region + 2 * kCacheLineSize, 0x33ULL);
+    manager.watch(region, 3 * kCacheLineSize, WatchKind::FreedBuffer, 9);
+
+    EXPECT_EQ(machine.load<std::uint64_t>(region + 2 * kCacheLineSize),
+              0x33ULL);
+    EXPECT_EQ(callbacks, 1);
+    EXPECT_EQ(lastBase, region);
+    EXPECT_EQ(lastCookie, 9u);
+    EXPECT_EQ(lastFault, region + 2 * kCacheLineSize);
+    EXPECT_EQ(manager.stats().get("foreign_faults"), 0u);
+}
+
+TEST_F(WatchManagerTest, FaultJustPastARegionIsForeign)
+{
+    manager.watch(region, 3 * kCacheLineSize, WatchKind::FreedBuffer, 9);
+    const VirtAddr past = region + 3 * kCacheLineSize;
+    UserEccFault fault;
+    fault.vaddr = past;
+    fault.lineAddr = *machine.kernel().peekTranslate(past);
+    fault.kind = EccFaultKind::MultiBit;
+
+    EXPECT_EQ(manager.onEccFault(fault), FaultDecision::HardwareError);
+    EXPECT_EQ(manager.stats().get("foreign_faults"), 1u);
+    EXPECT_EQ(callbacks, 0);
+    EXPECT_TRUE(manager.isWatched(region)) << "its neighbour is untouched";
 }
 
 TEST_F(WatchManagerTest, UnalignedRegionPanics)
