@@ -1,8 +1,7 @@
 /**
  * @file
  * Lightweight statistics: fixed-slot (enum-indexed) counters with a name
- * table for reporting, plus a fixed-bucket histogram used by the
- * lifetime analysis.
+ * table for reporting.
  *
  * Every counter is an enum slot: `stats_.add(CacheStat::Hits)` is one
  * array increment, fully inlineable. The registered name table keeps
@@ -135,67 +134,6 @@ class StatSet
     std::vector<std::uint64_t> slotValues_;
     /** Slot ever written? Distinguishes "0" from "never touched". */
     std::vector<std::uint8_t> slotTouched_;
-};
-
-/**
- * Histogram over a fixed linear bucket width. Used for object-lifetime and
- * warm-up-time distributions (Figure 3).
- */
-class Histogram
-{
-  public:
-    /** @param bucket_width width of every bucket (> 0). */
-    explicit Histogram(std::uint64_t bucket_width = 1)
-        : bucketWidth_(bucket_width ? bucket_width : 1)
-    {}
-
-    /** Record one sample. */
-    void
-    record(std::uint64_t value)
-    {
-        std::size_t idx = value / bucketWidth_;
-        if (idx >= buckets_.size())
-            buckets_.resize(idx + 1, 0);
-        ++buckets_[idx];
-        ++count_;
-    }
-
-    /** @return total samples recorded. */
-    std::uint64_t count() const { return count_; }
-
-    /**
-     * @return estimated fraction of samples with value <= @p value; 0
-     * when empty.
-     *
-     * Buckets entirely at or below @p value contribute fully; the bucket
-     * containing a mid-bucket @p value contributes linearly interpolated
-     * mass (`(value - bucket_start + 1) / bucket_width` of its samples),
-     * since exact positions within a bucket are not recorded. The old
-     * behaviour counted that whole bucket, over-reporting the CDF for
-     * every mid-bucket query.
-     */
-    double
-    cumulativeAt(std::uint64_t value) const
-    {
-        if (count_ == 0)
-            return 0.0;
-        std::size_t bucket = value / bucketWidth_;
-        double below = 0.0;
-        for (std::size_t i = 0; i < buckets_.size() && i < bucket; ++i)
-            below += static_cast<double>(buckets_[i]);
-        if (bucket < buckets_.size()) {
-            double fraction =
-                static_cast<double>(value - bucket * bucketWidth_ + 1) /
-                static_cast<double>(bucketWidth_);
-            below += static_cast<double>(buckets_[bucket]) * fraction;
-        }
-        return below / static_cast<double>(count_);
-    }
-
-  private:
-    std::uint64_t bucketWidth_;
-    std::uint64_t count_ = 0;
-    std::vector<std::uint64_t> buckets_;
 };
 
 } // namespace safemem

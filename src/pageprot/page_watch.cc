@@ -26,61 +26,34 @@ void
 PageWatchBackend::watch(VirtAddr base, std::size_t size, WatchKind kind,
                         std::uint64_t cookie)
 {
-    if (!isAligned(base, kPageSize) || !isAligned(size, kPageSize)
-        || size == 0)
-        panic("PageWatchBackend: region ", base, "+", size,
-              " is not page aligned");
-    for (std::size_t off = 0; off < size; off += kPageSize) {
-        if (pageToRegion_.count(base + off))
-            panic("PageWatchBackend: page ", base + off,
-                  " already watched");
-    }
-
+    table_.checkFree(base, size);
     machine_.kernel().mprotectRange(base, size, false);
-
-    for (std::size_t off = 0; off < size; off += kPageSize)
-        pageToRegion_[base + off] = base;
-    regions_[base] = Region{base, size, kind, cookie};
-    watchedBytes_ += size;
-    stats_.add(PageWatchStat::RegionsWatched);
-    stats_.maxOf(PageWatchStat::PeakWatchedBytes, watchedBytes_);
+    table_.regions.emplace(base, WatchRegion{size, kind, cookie});
+    table_.countArm(size);
 }
 
 void
 PageWatchBackend::unwatch(VirtAddr base)
 {
-    auto it = regions_.find(base);
-    if (it == regions_.end())
+    auto it = table_.regions.find(base);
+    if (it == table_.regions.end())
         panic("PageWatchBackend: unwatch of unknown region ", base);
-    const Region &region = it->second;
-
-    machine_.kernel().mprotectRange(region.base, region.size, true);
-    for (std::size_t off = 0; off < region.size; off += kPageSize)
-        pageToRegion_.erase(region.base + off);
-    watchedBytes_ -= region.size;
-    regions_.erase(it);
+    machine_.kernel().mprotectRange(base, it->second.size, true);
+    table_.countDisarm(it->second.size);
+    table_.regions.erase(it);
     stats_.add(PageWatchStat::RegionsUnwatched);
-}
-
-bool
-PageWatchBackend::isWatched(VirtAddr base) const
-{
-    return regions_.count(base) != 0;
 }
 
 bool
 PageWatchBackend::onSegv(VirtAddr addr)
 {
-    auto page_it = pageToRegion_.find(alignDown(addr, kPageSize));
-    if (page_it == pageToRegion_.end()) {
+    auto it = table_.holding(addr);
+    if (it == table_.regions.end()) {
         stats_.add(PageWatchStat::ForeignSegvs);
         return false;
     }
-
-    auto it = regions_.find(page_it->second);
-    if (it == regions_.end())
-        panic("PageWatchBackend: dangling page->region mapping");
-    Region region = it->second;
+    const VirtAddr base = it->first;
+    const WatchRegion region = it->second;
 
     CostScope scope(machine_.clock(),
                     region.kind == WatchKind::LeakSuspect
@@ -88,10 +61,10 @@ PageWatchBackend::onSegv(VirtAddr addr)
                         : CostCenter::ToolCorruption);
 
     // First access is all we need: lift the protection, then dispatch.
-    unwatch(region.base);
+    unwatch(base);
     stats_.add(PageWatchStat::AccessFaults);
     if (callback_)
-        callback_(region.base, region.kind, region.cookie,
+        callback_(base, region.kind, region.cookie,
                   alignDown(addr, kPageSize),
                   machine_.kernel().lastAccessWasWrite());
     return true;

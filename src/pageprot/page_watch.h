@@ -14,10 +14,9 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
-#include <unordered_map>
 
 #include "os/machine.h"
+#include "safemem/region_table.h"
 #include "safemem/watch_backend.h"
 
 namespace safemem {
@@ -56,9 +55,12 @@ class PageWatchBackend : public WatchBackend
     void watch(VirtAddr base, std::size_t size, WatchKind kind,
                std::uint64_t cookie) override;
     void unwatch(VirtAddr base) override;
-    bool isWatched(VirtAddr base) const override;
-    std::size_t regionCount() const override { return regions_.size(); }
-    std::uint64_t watchedBytes() const override { return watchedBytes_; }
+    bool isWatched(VirtAddr base) const override
+    {
+        return table_.regions.contains(base);
+    }
+    std::size_t regionCount() const override { return table_.armedCount(); }
+    std::uint64_t watchedBytes() const override { return table_.armedBytes(); }
     const StatSet &stats() const override { return stats_; }
     /// @}
 
@@ -66,20 +68,11 @@ class PageWatchBackend : public WatchBackend
     bool onSegv(VirtAddr addr);
 
   private:
-    struct Region
-    {
-        VirtAddr base = 0;
-        std::size_t size = 0;
-        WatchKind kind = WatchKind::LeakSuspect;
-        std::uint64_t cookie = 0;
-    };
-
     Machine &machine_;
     WatchFaultCallback callback_;
-    std::map<VirtAddr, Region> regions_;
-    std::unordered_map<VirtAddr, VirtAddr> pageToRegion_;
-    std::uint64_t watchedBytes_ = 0;
     StatSet stats_{kPageWatchStatNames};
+    RegionTable<WatchRegion, PageWatchStat> table_{"PageWatchBackend",
+                                                     kPageSize, stats_};
 };
 
 } // namespace safemem

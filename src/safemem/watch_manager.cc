@@ -1,6 +1,6 @@
 #include "safemem/watch_manager.h"
 
-#include <iterator>
+#include <algorithm>
 
 #include "check/simcheck.h"
 #include "common/logging.h"
@@ -35,87 +35,84 @@ EccWatchManager::parkAllForScrub()
     // strictly nested, so no region may still await restore from an
     // earlier pass when the next one parks.
     SIMCHECK_AUDIT(AuditDomain::Kernel, "scrub_park_pairing",
-                   scrubParked_.empty(), "scrub park while region ",
-                   scrubParked_.front().base,
-                   " from the previous pass awaits restore");
+                   std::none_of(table_.regions.begin(), table_.regions.end(),
+                                [](const auto &entry) {
+                                    return entry.second.park == Park::Scrub;
+                                }),
+                   "scrub park while a region from the previous pass "
+                   "awaits restore");
     // Lift every watch so the scrubber sees clean lines (paper §2.2.2:
     // SafeMem temporarily unmonitors watched regions and blocks the
     // program until scrubbing finishes).
-    std::vector<VirtAddr> bases;
-    for (const auto &[base, region] : regions_)
-        bases.push_back(base);
-    for (VirtAddr base : bases) {
-        auto it = regions_.find(base);
-        scrubParked_.push_back(it->second);
-        SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchScrubPark,
-                           machine_.clock().now(), it->second.base,
-                           it->second.size);
-        dropRegion(it);
-    }
+    park(Park::Scrub, 0, ~VirtAddr{0});
     stats_.add(WatchStat::ScrubUnwatchPasses);
 }
 
 void
 EccWatchManager::restoreAfterScrub()
 {
-    // Detach the parked regions first — watch() consults the parking
-    // list for overlaps, so restoring in place would see each region
-    // as overlapping itself.
-    std::vector<Region> restore = std::move(scrubParked_);
-    scrubParked_.clear();
-    for (const Region &region : restore) {
-        SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchScrubRestore,
-                           machine_.clock().now(), region.base, region.size);
-        watch(region.base, region.size, region.kind, region.cookie);
-    }
+    restore(Park::Scrub, 0, ~VirtAddr{0});
 }
 
 void
 EccWatchManager::installSwapHooks()
 {
     machine_.kernel().setSwapHooks(
-        [this](VirtAddr vpage) {
-            // Pre swap-out: park every watched region that intersects
-            // the departing page.
-            std::vector<VirtAddr> bases;
-            for (const auto &[base, region] : regions_) {
-                if (base < vpage + kPageSize &&
-                    base + region.size > vpage)
-                    bases.push_back(base);
-            }
-            for (VirtAddr base : bases) {
-                auto it = regions_.find(base);
-                swapParked_.push_back(it->second);
-                SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchSwapPark,
-                                   machine_.clock().now(), it->second.base,
-                                   it->second.size);
-                dropRegion(it);
-                stats_.add(WatchStat::RegionsSwapParked);
-            }
-        },
-        [this](VirtAddr vpage) {
-            // Post swap-in: restore the parked regions of this page.
-            // Detach them from the parking list first — watch()
-            // consults it for overlaps.
-            std::vector<Region> restore;
-            std::vector<Region> keep;
-            for (const Region &region : swapParked_) {
-                if (region.base < vpage + kPageSize &&
-                    region.base + region.size > vpage)
-                    restore.push_back(region);
-                else
-                    keep.push_back(region);
-            }
-            swapParked_ = std::move(keep);
-            for (const Region &region : restore) {
-                SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchSwapRestore,
-                                   machine_.clock().now(), region.base,
-                                   region.size);
-                watch(region.base, region.size, region.kind,
-                      region.cookie);
-                stats_.add(WatchStat::RegionsSwapRestored);
-            }
-        });
+        [this](VirtAddr page) { park(Park::Swap, page, page + kPageSize); },
+        [this](VirtAddr page) { restore(Park::Swap, page, page + kPageSize); });
+}
+
+void
+EccWatchManager::park(Park why, VirtAddr lo, VirtAddr hi)
+{
+    // Disarming makes no memory access, so nothing re-enters this loop.
+    for (auto it = table_.firstEndingAbove(lo);
+         it != table_.regions.end() && it->first < hi; ++it) {
+        if (it->second.park != Park::None)
+            continue;
+        SAFEMEM_TRACE_EMIT(trace_,
+                           why == Park::Scrub ? TraceEvent::WatchScrubPark
+                                              : TraceEvent::WatchSwapPark,
+                           machine_.clock().now(), it->first,
+                           it->second.size);
+        disarm(it);
+        it->second.park = why;
+        it->second.parkSeq = parks_++;
+        if (why == Park::Swap)
+            stats_.add(WatchStat::RegionsSwapParked);
+    }
+}
+
+void
+EccWatchManager::restore(Park why, VirtAddr lo, VirtAddr hi)
+{
+    // Take the whole batch out before arming any of it: arming reads
+    // memory, which may page in a neighbour page, and that page's own
+    // restore must not see this batch.
+    std::vector<std::pair<VirtAddr, Region>> batch;
+    for (auto it = table_.firstEndingAbove(lo);
+         it != table_.regions.end() && it->first < hi;) {
+        if (it->second.park != why) {
+            ++it;
+            continue;
+        }
+        batch.emplace_back(it->first, std::move(it->second));
+        it = table_.regions.erase(it);
+    }
+    // Park order, not base order: a region reaching into a neighbour
+    // page may have parked at that page's earlier swap-out.
+    std::sort(batch.begin(), batch.end(), [](const auto &x, const auto &y) {
+        return x.second.parkSeq < y.second.parkSeq;
+    });
+    for (auto &[base, region] : batch) {
+        SAFEMEM_TRACE_EMIT(trace_,
+                           why == Park::Scrub ? TraceEvent::WatchScrubRestore
+                                              : TraceEvent::WatchSwapRestore,
+                           machine_.clock().now(), base, region.size);
+        arm(base, std::move(region));
+        if (why == Park::Swap)
+            stats_.add(WatchStat::RegionsSwapRestored);
+    }
 }
 
 void
@@ -128,136 +125,78 @@ void
 EccWatchManager::watch(VirtAddr base, std::size_t size, WatchKind kind,
                        std::uint64_t cookie)
 {
-    if (!isAligned(base, kCacheLineSize) || !isAligned(size, kCacheLineSize)
-        || size == 0)
-        panic("EccWatchManager: region ", base, "+", size,
-              " is not line aligned");
-
-    // Regions never overlap, so only the neighbours on either side of
-    // base can overlap the new one.
-    auto next = regions_.lower_bound(base);
-    if (next != regions_.begin()) {
-        const Region &prev = std::prev(next)->second;
-        if (prev.base + prev.size > base)
-            panic("EccWatchManager: line ", base, " already watched");
-    }
-    if (next != regions_.end() && next->first < base + size)
-        panic("EccWatchManager: line ", next->first, " already watched");
-    for (const Region &parked : swapParked_) {
-        if (base < parked.base + parked.size && parked.base < base + size)
-            panic("EccWatchManager: region ", base,
-                  " overlaps a swap-parked watch at ", parked.base);
-    }
-    // Scrub-parked regions are just as logically watched as swap-parked
-    // ones: they come back the moment the scrub pass finishes, so
-    // letting a new watch overlap one would double-watch on restore.
-    for (const Region &parked : scrubParked_) {
-        if (base < parked.base + parked.size && parked.base < base + size)
-            panic("EccWatchManager: region ", base,
-                  " overlaps a scrub-parked watch at ", parked.base);
-    }
-
-    Region region;
-    region.base = base;
-    region.size = size;
-    region.kind = kind;
-    region.cookie = cookie;
-
-    // Save the original contents into SafeMem's private memory — the
-    // hardware-error discriminator needs them (§2.2.2).
-    region.originalLines.resize(size / kCacheLineSize);
-    machine_.read(base, region.originalLines.data(), size);
-
-    machine_.kernel().watchMemory(base, size);
-
-    watchedBytes_ += size;
-    stats_.add(WatchStat::RegionsWatched);
-    stats_.maxOf(WatchStat::PeakWatchedBytes, watchedBytes_);
-    regions_.emplace(base, std::move(region));
-    SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchEstablish,
-                       machine_.clock().now(), base, size,
-                       static_cast<std::uint64_t>(kind));
-}
-
-EccWatchManager::RegionMap::iterator
-EccWatchManager::regionHolding(VirtAddr addr)
-{
-    auto it = regions_.upper_bound(addr);
-    if (it == regions_.begin())
-        return regions_.end();
-    --it;
-    return addr < it->first + it->second.size ? it : regions_.end();
+    table_.checkFree(base, size);
+    arm(base, Region{{size, kind, cookie}, Park::None, 0, {}});
 }
 
 void
-EccWatchManager::dropRegion(RegionMap::iterator it)
+EccWatchManager::arm(VirtAddr base, Region region)
 {
-    const Region &region = it->second;
-    SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchDrop,
-                       machine_.clock().now(), region.base, region.size);
-    machine_.kernel().disableWatchMemory(region.base, region.size);
-    watchedBytes_ -= region.size;
-    regions_.erase(it);
+    // The region stays out of the table while its lines are read: the
+    // read may run a scrub pass or page in a neighbour page, and
+    // neither may park or restore a half-armed region.
+    region.park = Park::None;
+    // Save the original contents into SafeMem's private memory — the
+    // hardware-error discriminator needs them (§2.2.2).
+    region.originalLines.resize(region.size / kCacheLineSize);
+    machine_.read(base, region.originalLines.data(), region.size);
+    machine_.kernel().watchMemory(base, region.size);
+    table_.countArm(region.size);
+    SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchEstablish,
+                       machine_.clock().now(), base, region.size,
+                       static_cast<std::uint64_t>(region.kind));
+    table_.regions.emplace(base, std::move(region));
+}
+
+void
+EccWatchManager::disarm(Table::Map::iterator it)
+{
+    SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchDrop, machine_.clock().now(),
+                       it->first, it->second.size);
+    machine_.kernel().disableWatchMemory(it->first, it->second.size);
+    table_.countDisarm(it->second.size);
+}
+
+EccWatchManager::Region
+EccWatchManager::drop(Table::Map::iterator it)
+{
+    if (it->second.park == Park::None) {
+        disarm(it);
+    } else {
+        // A parked region is still logically watched; cancelling it
+        // only forgets it (its lines were unscrambled when it parked).
+        SAFEMEM_TRACE_EMIT(trace_,
+                           it->second.park == Park::Scrub
+                               ? TraceEvent::WatchScrubCancel
+                               : TraceEvent::WatchSwapCancel,
+                           machine_.clock().now(), it->first);
+        stats_.add(WatchStat::ParkedRegionsCancelled);
+    }
+    Region region = std::move(it->second);
+    table_.regions.erase(it);
+    return region;
 }
 
 void
 EccWatchManager::unwatch(VirtAddr base)
 {
-    auto it = regions_.find(base);
-    if (it != regions_.end()) {
-        dropRegion(it);
+    auto it = table_.regions.find(base);
+    if (it == table_.regions.end())
+        panic("EccWatchManager: unwatch of unknown region ", base);
+    if (it->second.park == Park::None)
         stats_.add(WatchStat::RegionsUnwatched);
-        return;
-    }
-    // A parked region — swap- or scrub-parked — is still logically
-    // watched; cancelling it only removes the parking entry (its lines
-    // were already unscrambled when it was parked).
-    for (auto parked = swapParked_.begin(); parked != swapParked_.end();
-         ++parked) {
-        if (parked->base == base) {
-            SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchSwapCancel,
-                               machine_.clock().now(), base);
-            swapParked_.erase(parked);
-            stats_.add(WatchStat::ParkedRegionsCancelled);
-            return;
-        }
-    }
-    for (auto parked = scrubParked_.begin(); parked != scrubParked_.end();
-         ++parked) {
-        if (parked->base == base) {
-            SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchScrubCancel,
-                               machine_.clock().now(), base);
-            scrubParked_.erase(parked);
-            stats_.add(WatchStat::ParkedRegionsCancelled);
-            return;
-        }
-    }
-    panic("EccWatchManager: unwatch of unknown region ", base);
-}
-
-bool
-EccWatchManager::isWatched(VirtAddr base) const
-{
-    if (regions_.count(base) != 0)
-        return true;
-    for (const Region &region : swapParked_) {
-        if (region.base == base)
-            return true;
-    }
-    for (const Region &region : scrubParked_) {
-        if (region.base == base)
-            return true;
-    }
-    return false;
+    drop(it);
 }
 
 FaultDecision
 EccWatchManager::onEccFault(const UserEccFault &fault)
 {
     VirtAddr vline = alignDown(fault.vaddr, kCacheLineSize);
-    auto it = regionHolding(vline);
-    if (it == regions_.end()) {
-        // Not one of ours: a genuine hardware error somewhere else.
+    auto it = table_.holding(vline);
+    // Not one of ours: a genuine hardware error somewhere else. So is
+    // one on a swap-parked region: it may be half paged out, and the
+    // program may have written its resident lines since it parked.
+    if (it == table_.regions.end() || it->second.park == Park::Swap) {
         if (inRepair_)
             panic("EccWatchManager: nested ECC fault at line ", vline,
                   " while repairing a hardware error — the repair path "
@@ -268,6 +207,7 @@ EccWatchManager::onEccFault(const UserEccFault &fault)
         return FaultDecision::HardwareError;
     }
 
+    const VirtAddr base = it->first;
     const Region &region = it->second;
 
     // Everything from here on is monitoring work, not application work.
@@ -276,55 +216,54 @@ EccWatchManager::onEccFault(const UserEccFault &fault)
                         ? CostCenter::ToolLeak
                         : CostCenter::ToolCorruption);
 
-    // Recompute the scramble signature for the faulting line and compare
-    // against memory: a mismatch means a real hardware error struck the
-    // watched line (§2.2.2).
+    // A scrub-parked region's lines are clean, resident and, with the
+    // program blocked until the pass ends, unchanged, so only a hardware
+    // error can fault on one. On an armed line, recompute the scramble
+    // signature and compare against memory: a mismatch means a real
+    // hardware error struck the watched line (§2.2.2).
     MemoryController &controller = machine_.controller();
-    const LineWords current =
-        controller.peekLine(alignDown(fault.lineAddr, kCacheLineSize));
-    const LineWords &original =
-        region.originalLines[(vline - region.base) / kCacheLineSize];
-    bool signature_intact = true;
-    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
-        if (current[i] != scramble_.apply(original[i])) {
-            signature_intact = false;
-            break;
-        }
+    bool hardware_error = region.park == Park::Scrub;
+    if (!hardware_error) {
+        const LineWords current =
+            controller.peekLine(alignDown(fault.lineAddr, kCacheLineSize));
+        const LineWords &original =
+            region.originalLines[(vline - base) / kCacheLineSize];
+        for (std::size_t i = 0; i < kEccGroupsPerLine && !hardware_error;
+             ++i)
+            hardware_error = current[i] != scramble_.apply(original[i]);
     }
 
-    if (!signature_intact) {
-        // Hardware error under a watch. The watched data is expendable
-        // (padding or a suspected leak) and we hold a pristine copy:
-        // repair the region, then report the hardware error.
+    if (hardware_error) {
+        // The watched data is expendable (padding or a suspected leak)
+        // and we hold a pristine copy: repair the region, then report
+        // the hardware error.
         stats_.add(WatchStat::HardwareErrorsDetected);
         SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchFaultHardware,
-                           machine_.clock().now(), vline, region.base);
+                           machine_.clock().now(), vline, base);
         if (inRepair_)
             panic("EccWatchManager: nested hardware fault inside the "
                   "repair path at line ", vline);
         inRepair_ = true;
-        Region saved = region;
-        dropRegion(it);
-        // Repair through the device-op path: writeLineDeviceOp rewrites
-        // each line with freshly encoded check bytes without any cache
-        // traffic. A machine_.write() here would write-allocate, and the
-        // read-for-ownership fill would pull the still-corrupted line
-        // through the controller — a nested ECC fault inside the fault
-        // handler (the inRepair_ guard above turns that into a panic
-        // rather than unbounded recursion).
+        // Dropping a scrub-parked region cancels its restore.
+        const Region saved = drop(it);
+        // Repair with device ops, which re-encode each line without
+        // cache traffic: a machine_.write() would write-allocate, and
+        // its read-for-ownership fill would pull the corrupted line
+        // through the controller — a nested fault inside the handler,
+        // which the inRepair_ guard turns into a panic.
         Kernel &kernel = machine_.kernel();
         for (std::size_t off = 0; off < saved.size; off += kCacheLineSize) {
-            PhysAddr pline = kernel.translate(saved.base + off);
-            // The region's lines cannot be cache-resident (watchMemory
-            // flushed them and faulted fills never install), but flush
-            // defensively so a stale copy can never shadow the repair.
+            PhysAddr pline = kernel.translate(base + off);
+            // No line can be cache-resident (watchMemory flushed them,
+            // and the program cannot touch a scrub-parked one), but
+            // flush so a stale copy can never shadow the repair.
             machine_.cache().flushLine(pline);
             controller.writeLineDeviceOp(
                 pline, saved.originalLines[off / kCacheLineSize]);
         }
         inRepair_ = false;
         SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchRepairDone,
-                           machine_.clock().now(), saved.base, saved.size);
+                           machine_.clock().now(), base, saved.size);
         return FaultDecision::HardwareError;
     }
 
@@ -332,13 +271,11 @@ EccWatchManager::onEccFault(const UserEccFault &fault)
     // then hand the event to the owning detector.
     stats_.add(WatchStat::AccessFaults);
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::WatchFaultAccess,
-                       machine_.clock().now(), vline, region.base,
+                       machine_.clock().now(), vline, base,
                        fault.isWrite ? 1 : 0);
-    Region saved = region;
-    dropRegion(it);
+    const Region saved = drop(it);
     if (callback_)
-        callback_(saved.base, saved.kind, saved.cookie, vline,
-                  fault.isWrite);
+        callback_(base, saved.kind, saved.cookie, vline, fault.isWrite);
     return FaultDecision::Handled;
 }
 

@@ -12,15 +12,14 @@
  *  - dispatch verified access faults to the owning detector through the
  *    WatchFaultCallback, after disabling the watch (only the first
  *    access matters, §2.2.1);
- *  - coordinate with memory scrubbing: unwatch everything before a scrub
- *    pass and rewatch afterwards (§2.2.2 "Dealing with ECC Memory
- *    Scrubbing").
+ *  - coordinate with memory scrubbing and swapping: park watched
+ *    regions before a scrub pass or a swap-out and re-arm them
+ *    afterwards (§2.2.2 "Dealing with ECC Memory Scrubbing").
  */
 
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "common/clock.h"
@@ -28,6 +27,7 @@
 #include "ecc/scramble.h"
 #include "mem/line.h"
 #include "os/machine.h"
+#include "safemem/region_table.h"
 #include "safemem/watch_backend.h"
 
 namespace safemem {
@@ -73,11 +73,12 @@ class EccWatchManager : public WatchBackend
     void installScrubHooks();
 
     /**
-     * Lift every watch ahead of a scrub pass, parking the regions for
-     * restoreAfterScrub() (paper §2.2.2 "Dealing with ECC Memory
-     * Scrubbing"). Parked regions stay logically watched: isWatched()
-     * reports them, unwatch() cancels them, and watch() refuses
-     * overlaps with them — exactly like swap-parked regions.
+     * Lift every armed watch ahead of a scrub pass, parking the regions
+     * for restoreAfterScrub() (paper §2.2.2 "Dealing with ECC Memory
+     * Scrubbing"). A parked region keeps its table entry, so it stays
+     * logically watched: isWatched() reports it, unwatch() cancels it,
+     * watch() refuses overlaps with it, and a hardware error on its
+     * clean lines is repaired from the private copy.
      *
      * Park/restore is a simulated lock on the watch set, and earlier
      * double-park/lost-restore bugs lived here — so it is annotated as
@@ -106,9 +107,12 @@ class EccWatchManager : public WatchBackend
     void watch(VirtAddr base, std::size_t size, WatchKind kind,
                std::uint64_t cookie) override;
     void unwatch(VirtAddr base) override;
-    bool isWatched(VirtAddr base) const override;
-    std::size_t regionCount() const override { return regions_.size(); }
-    std::uint64_t watchedBytes() const override { return watchedBytes_; }
+    bool isWatched(VirtAddr base) const override
+    {
+        return table_.regions.contains(base);
+    }
+    std::size_t regionCount() const override { return table_.armedCount(); }
+    std::uint64_t watchedBytes() const override { return table_.armedBytes(); }
     const StatSet &stats() const override { return stats_; }
     /// @}
 
@@ -120,23 +124,31 @@ class EccWatchManager : public WatchBackend
     FaultDecision onEccFault(const UserEccFault &fault);
 
   private:
-    struct Region
+    /** Why a region's lines are clean while it stays logically
+     *  watched; None means armed. */
+    enum class Park : std::uint8_t { None, Scrub, Swap };
+
+    struct Region : WatchRegion
     {
-        VirtAddr base = 0;
-        std::size_t size = 0;
-        WatchKind kind = WatchKind::LeakSuspect;
-        std::uint64_t cookie = 0;
+        Park park = Park::None;
+        /** The region's place in park order, which restore() keeps. */
+        std::uint64_t parkSeq = 0;
         /** Private copy of the original data, one entry per line. */
         std::vector<LineWords> originalLines;
     };
 
-    using RegionMap = std::map<VirtAddr, Region>;
+    using Table = RegionTable<Region, WatchStat>;
 
-    /** @return the watched region holding @p addr, or regions_.end(). */
-    RegionMap::iterator regionHolding(VirtAddr addr);
-
-    /** Remove @p region's kernel watches and bookkeeping. */
-    void dropRegion(RegionMap::iterator it);
+    /** Save @p region's lines, watch them and enter it in the table. */
+    void arm(VirtAddr base, Region region);
+    /** Lift @p it's kernel watch, keeping its entry. */
+    void disarm(Table::Map::iterator it);
+    /** Take @p it out of the table: disarm it, or cancel its park. */
+    Region drop(Table::Map::iterator it);
+    /** Park, for @p why, every armed region intersecting [lo, hi). */
+    void park(Park why, VirtAddr lo, VirtAddr hi);
+    /** Re-arm, in park order, the regions in [lo, hi) parked for @p why. */
+    void restore(Park why, VirtAddr lo, VirtAddr hi);
 
     /**
      * @name Kernel scrub-hook trampolines
@@ -164,20 +176,14 @@ class EccWatchManager : public WatchBackend
      *  repair itself pulled the bad line through the controller. */
     bool inRepair_ = false;
 
-    /** Watched regions keyed by base address. Regions never overlap,
-     *  so the one holding an address is the last starting at or below
-     *  it. */
-    RegionMap regions_;
-
     /** Compile-time face of the park/restore pairing discipline. */
     Capability scrubPark_;
-    /** Regions temporarily lifted for a scrub pass. */
-    std::vector<Region> scrubParked_;
-    /** Regions parked while their page is swapped out. */
-    std::vector<Region> swapParked_;
+    /** Parks so far, the source of Region::parkSeq. */
+    std::uint64_t parks_ = 0;
 
-    std::uint64_t watchedBytes_ = 0;
     StatSet stats_{kWatchStatNames};
+    /** Every region, armed or parked, keyed by base. */
+    Table table_{"EccWatchManager", kCacheLineSize, stats_};
 };
 
 } // namespace safemem

@@ -1,6 +1,6 @@
 /**
  * @file
- * Tests for the common substrate: clock, stats, histogram, RNG, types.
+ * Tests for the common substrate: clock, stats, RNG, types.
  */
 
 #include <gtest/gtest.h>
@@ -168,38 +168,6 @@ TEST(Stats, EnumOpsMatchPlainMapReference)
         }
     }
     EXPECT_EQ(stats.all(), reference);
-}
-
-TEST(Histogram, CumulativeDistribution)
-{
-    Histogram hist(10);
-    for (std::uint64_t v : {1, 5, 15, 25, 95})
-        hist.record(v);
-    EXPECT_EQ(hist.count(), 5u);
-    EXPECT_DOUBLE_EQ(hist.cumulativeAt(9), 0.4);
-    EXPECT_DOUBLE_EQ(hist.cumulativeAt(19), 0.6);
-    EXPECT_DOUBLE_EQ(hist.cumulativeAt(1000), 1.0);
-}
-
-TEST(Histogram, EmptyIsZero)
-{
-    Histogram hist(10);
-    EXPECT_DOUBLE_EQ(hist.cumulativeAt(100), 0.0);
-}
-
-TEST(Histogram, MidBucketQueriesInterpolate)
-{
-    // Four samples in [0, 10), four in [10, 20). A query in the middle of
-    // a bucket must not claim the whole bucket's mass: cumulativeAt(4)
-    // covers half of the first bucket, not all of it.
-    Histogram hist(10);
-    for (std::uint64_t v : {0, 2, 5, 8, 11, 13, 16, 19})
-        hist.record(v);
-    EXPECT_DOUBLE_EQ(hist.cumulativeAt(4), 0.25);  // 4/8 * 5/10
-    EXPECT_DOUBLE_EQ(hist.cumulativeAt(9), 0.5);   // first bucket exactly
-    EXPECT_DOUBLE_EQ(hist.cumulativeAt(14), 0.75); // 0.5 + 4/8 * 5/10
-    EXPECT_DOUBLE_EQ(hist.cumulativeAt(19), 1.0);
-    EXPECT_DOUBLE_EQ(hist.cumulativeAt(500), 1.0); // past the last bucket
 }
 
 TEST(Rng, Deterministic)

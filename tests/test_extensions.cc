@@ -12,6 +12,7 @@
 #include "common/logging.h"
 #include "safemem/safemem.h"
 #include "safemem/watch_manager.h"
+#include "trace/trace.h"
 
 namespace safemem {
 namespace {
@@ -103,9 +104,7 @@ TEST_F(UninitReadTest, GuardsStillWorkAlongside)
 class SwapPolicyTest : public ::testing::Test
 {
   protected:
-    SwapPolicyTest()
-        : machine(MachineConfig{8u << 20, CacheConfig{16, 2}, 64}),
-          manager(machine)
+    SwapPolicyTest() : machine(config(trace)), manager(machine)
     {
         manager.installFaultHandler();
         manager.installSwapHooks();
@@ -118,6 +117,15 @@ class SwapPolicyTest : public ::testing::Test
         region = machine.kernel().mapRegion(2 * kPageSize);
     }
 
+    static MachineConfig
+    config(Trace &trace)
+    {
+        MachineConfig config{8u << 20, CacheConfig{16, 2}, 64};
+        config.trace = &trace;
+        return config;
+    }
+
+    Trace trace;
     Machine machine;
     EccWatchManager manager;
     VirtAddr region = 0;
@@ -185,6 +193,63 @@ TEST_F(SwapPolicyTest, MultipleRegionsOnOnePageAllSurvive)
     EXPECT_EQ(faults, 1);
     EXPECT_TRUE(manager.isWatched(region))
         << "the untouched region is watched again";
+}
+
+TEST_F(SwapPolicyTest, SwapInRestoresInParkOrder)
+{
+    // A region low on the first page and one reaching across into the
+    // second. The second page swaps out first, parking the straddling
+    // region; then the first, parking the low one.
+    const VirtAddr low = region;
+    const VirtAddr straddle = region + kPageSize - kCacheLineSize;
+    manager.watch(low, kCacheLineSize, WatchKind::GuardFront, 1);
+    manager.watch(straddle, 2 * kCacheLineSize, WatchKind::FreedBuffer, 2);
+    ASSERT_TRUE(machine.kernel().swapOutPage(region + kPageSize));
+    ASSERT_TRUE(machine.kernel().swapOutPage(region));
+
+    // The first page's swap-in restores both, in park order: the
+    // straddling region (whose read pages the second page back in),
+    // then the low one.
+    machine.load<std::uint64_t>(region + 8 * kCacheLineSize);
+    std::vector<VirtAddr> restored;
+    for (const TraceRecord &record : trace.records()) {
+        if (record.event == TraceEvent::WatchSwapRestore)
+            restored.push_back(record.a);
+    }
+    if (kTraceCompiledIn) {
+        EXPECT_EQ(restored, (std::vector<VirtAddr>{straddle, low}));
+    }
+    EXPECT_EQ(manager.stats().get("regions_swap_restored"), 2u);
+    EXPECT_TRUE(machine.kernel().isWatched(low));
+    EXPECT_TRUE(machine.kernel().isWatched(region + kPageSize));
+    EXPECT_EQ(faults, 0);
+}
+
+TEST_F(SwapPolicyTest, HardwareErrorOnASwapParkedLineIsForeign)
+{
+    // A region across the page boundary parks when the second page
+    // swaps out; its line on the first page stays resident, clean and
+    // the program's to write.
+    machine.kernel().setPanicOnHardwareError(false);
+    const VirtAddr straddle = region + kPageSize - kCacheLineSize;
+    manager.watch(straddle, 2 * kCacheLineSize, WatchKind::FreedBuffer, 1);
+    ASSERT_TRUE(machine.kernel().swapOutPage(region + kPageSize));
+    machine.store<std::uint64_t>(straddle, 0x99ULL);
+    machine.cache().flushAll();
+
+    // A double-bit error on that line, found by the scrubber, is not
+    // the watch's to repair: its private copy predates the store, and
+    // its other line is on disk. It is filed as foreign, and the
+    // handler pages nothing in.
+    PhysAddr line = *machine.kernel().peekTranslate(straddle);
+    machine.physicalMemory().flipDataBit(line, 3);
+    machine.physicalMemory().flipDataBit(line, 40);
+    machine.controller().scrubAll();
+    EXPECT_EQ(manager.stats().get("foreign_faults"), 1u);
+    EXPECT_EQ(manager.stats().get("hardware_errors_detected"), 0u);
+    EXPECT_FALSE(machine.kernel().pageResident(region + kPageSize));
+    EXPECT_TRUE(manager.isWatched(straddle));
+    EXPECT_EQ(faults, 0);
 }
 
 TEST_F(SwapPolicyTest, PolicyChangeWithActiveWatchesPanics)

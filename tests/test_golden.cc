@@ -36,5 +36,18 @@ TEST(Golden, ConsolidatedSweepMatchesCapture)
               readGolden("golden_prebank_procs3.txt"));
 }
 
+TEST(Golden, PageProtSweepMatchesCapture)
+{
+    // Every app under the page-protection baseline on bug-triggering
+    // inputs: the page backend's region table, its SIGSEGV triage and
+    // its monitoring-space counters, pinned byte for byte.
+    CliParse parse = parseCliArguments({"all", "--tool", "pageprot",
+                                        "--buggy", "--stats", "--workers",
+                                        "0"});
+    ASSERT_TRUE(parse.options.has_value());
+    EXPECT_EQ(runCli(*parse.options).report,
+              readGolden("golden_pageprot_sweep.txt"));
+}
+
 } // namespace
 } // namespace safemem

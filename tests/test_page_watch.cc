@@ -1,6 +1,8 @@
 /**
  * @file
- * Tests for the page-protection watch backend.
+ * Tests for the page-protection watch backend. The overlap and
+ * fault-landing cases both backends share are in
+ * test_watch_contract.cc.
  */
 
 #include <gtest/gtest.h>
@@ -78,14 +80,6 @@ TEST_F(PageWatchTest, UnalignedRegionPanics)
         backend.watch(region + 64, kPageSize, WatchKind::LeakSuspect, 1),
         PanicError);
     EXPECT_THROW(backend.watch(region, 100, WatchKind::LeakSuspect, 1),
-                 PanicError);
-}
-
-TEST_F(PageWatchTest, OverlapPanics)
-{
-    backend.watch(region, 2 * kPageSize, WatchKind::LeakSuspect, 1);
-    EXPECT_THROW(backend.watch(region + kPageSize, kPageSize,
-                               WatchKind::LeakSuspect, 2),
                  PanicError);
 }
 

@@ -1,7 +1,9 @@
 /**
  * @file
  * Tests for the ECC watch backend: region bookkeeping, fault dispatch,
- * hardware-error differentiation, and scrub coordination.
+ * hardware-error differentiation, and scrub coordination. The overlap
+ * and fault-landing cases both backends share are in
+ * test_watch_contract.cc.
  */
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include "common/logging.h"
 #include "ecc/scramble.h"
 #include "safemem/watch_manager.h"
+#include "trace/trace.h"
 
 namespace safemem {
 namespace {
@@ -16,9 +19,7 @@ namespace {
 class WatchManagerTest : public ::testing::Test
 {
   protected:
-    WatchManagerTest()
-        : machine(MachineConfig{4u << 20, CacheConfig{16, 2}, 64}),
-          manager(machine)
+    WatchManagerTest() : machine(config(trace)), manager(machine)
     {
         manager.installFaultHandler();
         manager.installScrubHooks();
@@ -34,6 +35,15 @@ class WatchManagerTest : public ::testing::Test
         region = machine.kernel().mapRegion(2 * kPageSize);
     }
 
+    static MachineConfig
+    config(Trace &trace)
+    {
+        MachineConfig config{4u << 20, CacheConfig{16, 2}, 64};
+        config.trace = &trace;
+        return config;
+    }
+
+    Trace trace;
     Machine machine;
     EccWatchManager manager;
     VirtAddr region = 0;
@@ -83,81 +93,6 @@ TEST_F(WatchManagerTest, DataPreservedThroughWatchCycle)
     for (int i = 0; i < 8; ++i)
         EXPECT_EQ(machine.load<std::uint64_t>(region + i * 8),
                   0x1000ULL + static_cast<unsigned>(i));
-}
-
-TEST_F(WatchManagerTest, OverlappingWatchPanics)
-{
-    // Watched: lines 2-3 and line 8.
-    manager.watch(region + 2 * kCacheLineSize, 2 * kCacheLineSize,
-                  WatchKind::LeakSuspect, 1);
-    manager.watch(region + 8 * kCacheLineSize, kCacheLineSize,
-                  WatchKind::LeakSuspect, 2);
-    struct Shape
-    {
-        const char *name;
-        std::size_t firstLine;
-        std::size_t lines;
-    };
-    const Shape shapes[] = {
-        {"same base, inside", 2, 1},
-        {"identical", 2, 2},
-        {"starts inside", 3, 2},
-        {"ends inside", 1, 2},
-        {"encloses", 1, 4},
-        {"clears the left neighbour, reaches the right one", 4, 5},
-        {"encloses both", 0, 10},
-    };
-    for (const Shape &shape : shapes) {
-        SCOPED_TRACE(shape.name);
-        EXPECT_THROW(manager.watch(region + shape.firstLine * kCacheLineSize,
-                                   shape.lines * kCacheLineSize,
-                                   WatchKind::LeakSuspect, 3),
-                     PanicError);
-    }
-    EXPECT_EQ(manager.regionCount(), 2u) << "a refused watch changes nothing";
-    EXPECT_EQ(machine.kernel().watchedLineCount(), 3u);
-}
-
-TEST_F(WatchManagerTest, ExactNeighboursDoNotOverlap)
-{
-    manager.watch(region + 2 * kCacheLineSize, 2 * kCacheLineSize,
-                  WatchKind::LeakSuspect, 1);
-    // One region ending where it starts, one starting where it ends.
-    EXPECT_NO_THROW(manager.watch(region, 2 * kCacheLineSize,
-                                  WatchKind::GuardFront, 2));
-    EXPECT_NO_THROW(manager.watch(region + 4 * kCacheLineSize,
-                                  kCacheLineSize, WatchKind::GuardRear, 3));
-    EXPECT_EQ(manager.regionCount(), 3u);
-    EXPECT_EQ(machine.kernel().watchedLineCount(), 5u);
-}
-
-TEST_F(WatchManagerTest, FaultOnTheLastLineDispatchesToItsRegion)
-{
-    machine.store<std::uint64_t>(region + 2 * kCacheLineSize, 0x33ULL);
-    manager.watch(region, 3 * kCacheLineSize, WatchKind::FreedBuffer, 9);
-
-    EXPECT_EQ(machine.load<std::uint64_t>(region + 2 * kCacheLineSize),
-              0x33ULL);
-    EXPECT_EQ(callbacks, 1);
-    EXPECT_EQ(lastBase, region);
-    EXPECT_EQ(lastCookie, 9u);
-    EXPECT_EQ(lastFault, region + 2 * kCacheLineSize);
-    EXPECT_EQ(manager.stats().get("foreign_faults"), 0u);
-}
-
-TEST_F(WatchManagerTest, FaultJustPastARegionIsForeign)
-{
-    manager.watch(region, 3 * kCacheLineSize, WatchKind::FreedBuffer, 9);
-    const VirtAddr past = region + 3 * kCacheLineSize;
-    UserEccFault fault;
-    fault.vaddr = past;
-    fault.lineAddr = *machine.kernel().peekTranslate(past);
-    fault.kind = EccFaultKind::MultiBit;
-
-    EXPECT_EQ(manager.onEccFault(fault), FaultDecision::HardwareError);
-    EXPECT_EQ(manager.stats().get("foreign_faults"), 1u);
-    EXPECT_EQ(callbacks, 0);
-    EXPECT_TRUE(manager.isWatched(region)) << "its neighbour is untouched";
 }
 
 TEST_F(WatchManagerTest, UnalignedRegionPanics)
@@ -251,6 +186,67 @@ TEST_F(WatchManagerTest, ScrubParkedRegionsStayLogicallyWatched)
     EXPECT_TRUE(manager.isWatched(region));
     EXPECT_EQ(manager.regionCount(), 1u);
     EXPECT_EQ(manager.watchedBytes(), 128u);
+}
+
+TEST_F(WatchManagerTest, ScrubParkedRegionsLeaveTheArmedCounts)
+{
+    manager.watch(region, 128, WatchKind::LeakSuspect, 1);
+    manager.watch(region + kPageSize, 64, WatchKind::FreedBuffer, 2);
+    manager.parkAllForScrub();
+
+    // Logically watched, but nothing is armed: regionCount() and
+    // watchedBytes() (Table 4's monitoring space) count armed regions.
+    EXPECT_TRUE(manager.isWatched(region));
+    EXPECT_TRUE(manager.isWatched(region + kPageSize));
+    EXPECT_EQ(manager.regionCount(), 0u);
+    EXPECT_EQ(manager.watchedBytes(), 0u);
+    EXPECT_EQ(machine.kernel().watchedLineCount(), 0u);
+
+    manager.restoreAfterScrub();
+    EXPECT_EQ(manager.regionCount(), 2u);
+    EXPECT_EQ(manager.watchedBytes(), 192u);
+    EXPECT_EQ(machine.kernel().watchedLineCount(), 3u);
+}
+
+TEST_F(WatchManagerTest, HardwareErrorOnAScrubParkedLineIsRepaired)
+{
+    machine.kernel().setPanicOnHardwareError(false);
+    machine.store<std::uint64_t>(region, 0xabcdULL);
+    manager.watch(region, 64, WatchKind::FreedBuffer, 1);
+    manager.parkAllForScrub();
+
+    // A double-bit error strikes the parked (clean) line, and the
+    // scrubber finds it. The line belongs to a logically watched
+    // region, so it is a hardware error under a watch, not a foreign
+    // one: repaired from the private copy, and the watch is dropped.
+    PhysAddr frame = *machine.kernel().peekTranslate(region);
+    machine.physicalMemory().flipDataBit(frame, 3);
+    machine.physicalMemory().flipDataBit(frame, 40);
+    machine.controller().scrubAll();
+    EXPECT_EQ(manager.stats().get("hardware_errors_detected"), 1u);
+    EXPECT_EQ(manager.stats().get("foreign_faults"), 0u);
+    EXPECT_FALSE(manager.isWatched(region));
+
+    // Nothing is left to restore, so nothing re-reads a corrupt line.
+    manager.restoreAfterScrub();
+    EXPECT_EQ(manager.regionCount(), 0u);
+    EXPECT_EQ(machine.load<std::uint64_t>(region), 0xabcdULL);
+    EXPECT_EQ(callbacks, 0);
+
+    // The repair closes the park window, as an unwatch would.
+    EXPECT_EQ(manager.stats().get("parked_regions_cancelled"), 1u);
+    std::vector<TraceEvent> window;
+    for (const TraceRecord &record : trace.records()) {
+        if (record.event == TraceEvent::WatchScrubPark ||
+            record.event == TraceEvent::WatchScrubRestore ||
+            record.event == TraceEvent::WatchScrubCancel)
+            window.push_back(record.event);
+    }
+    if (kTraceCompiledIn) {
+        EXPECT_EQ(window, (std::vector<TraceEvent>{
+                              TraceEvent::WatchScrubPark,
+                              TraceEvent::WatchScrubCancel}));
+    }
 }
 
 TEST_F(WatchManagerTest, UnwatchWhileScrubParkedCancelsTheRestore)
