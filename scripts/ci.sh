@@ -25,9 +25,10 @@
 #                           tests/data/perfbench_simulated_seed42.txt
 #   9. trace smoke        — a traced safemem_run workload decoded with
 #                           trace_dump (records + --summary); fail on
-#                           malformed JSON-lines; and the trace file of
-#                           `squid1 --buggy --requests 200` must match
-#                           tests/data/trace_squid1_buggy_r200.sha256
+#                           malformed JSON-lines; and the trace files of
+#                           `squid1 --buggy --requests 200` and
+#                           `squid1 --tool purify --buggy --requests 400`
+#                           must match tests/data/trace_squid1_*.sha256
 #  10. multiproc smoke    — the full app sweep at --procs 2 must produce
 #                           byte-identical reports for any worker count
 #  11. fleet smoke        — a reduced bench_fleet sampled-monitoring
@@ -288,13 +289,27 @@ PYEOF
 
 trace_pin() {
     # The retained records carry simulated timestamps, so a moved
-    # clock advance or trace emit changes this file even when the
-    # end-of-run totals agree. Refresh the digest only for a change
-    # meant to move simulated numbers.
-    local bin=build/trace_squid1_buggy_r200.bin
-    local golden=tests/data/trace_squid1_buggy_r200.sha256
-    build/tools/safemem_run squid1 --buggy --requests 200 --trace "$bin" \
-        >/dev/null || return 1
+    # clock advance or trace emit changes these files even when the
+    # end-of-run totals agree. The Purify run's retained records are
+    # its last sweep's fills and evictions, so a heap-scan change that
+    # shifts one fill's cycle fails here. Refresh a digest only for a
+    # change meant to move simulated numbers.
+    local status=0
+    trace_pin_one squid1_buggy_r200 squid1 --buggy --requests 200 ||
+        status=1
+    trace_pin_one squid1_purify_buggy_r400 squid1 --tool purify --buggy \
+        --requests 400 || status=1
+    return "$status"
+}
+
+trace_pin_one() {
+    # trace_pin_one NAME ARGS...: the trace file of `safemem_run ARGS`
+    # must hash to tests/data/trace_NAME.sha256.
+    local name=$1
+    shift
+    local bin=build/trace_$name.bin
+    local golden=tests/data/trace_$name.sha256
+    build/tools/safemem_run "$@" --trace "$bin" >/dev/null || return 1
     local want got
     want=$(cat "$golden")
     got=$(sha256sum "$bin" | cut -d' ' -f1)
@@ -304,7 +319,7 @@ trace_pin() {
         echo "  measured:  $got"
         return 1
     fi
-    echo "trace pin: squid1 --buggy --requests 200 trace matches $golden"
+    echo "trace pin: $* trace matches $golden"
 }
 
 multiproc_smoke() {

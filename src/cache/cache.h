@@ -109,6 +109,27 @@ class Cache
     }
 
     /**
+     * Serve the @p count 8-byte words at @p addr, @p addr + 8, ... from
+     * the resident line that holds them all, exactly as @p count read()
+     * hits would: latency, hit counter and LRU stamp. Panics when they
+     * are not all in one resident line.
+     */
+    void
+    readWordHits(PhysAddr addr, std::uint64_t *out, std::size_t count)
+    {
+        PhysAddr line_addr = alignDown(addr, kCacheLineSize);
+        Way *way = lookup(line_addr);
+        if (!way || addr + count * 8 > line_addr + kCacheLineSize)
+            panic("Cache::readWordHits: ", count, " words at ", addr,
+                  " are not in one resident line");
+        clock_.advance(count * kCacheHitCycles);
+        stats_.add(CacheStat::Hits, count);
+        useCounter_ += count;
+        way->lastUse = useCounter_;
+        std::memcpy(out, way->data.data() + (addr - line_addr), count * 8);
+    }
+
+    /**
      * Read a span that may cross line boundaries, touching each line once.
      * @return bytes copied before a faulted fill stopped the span (equal
      *         to @p size when no fill faulted). The caller retries from

@@ -357,23 +357,16 @@ MemoryController::evictLine(PhysAddr line_addr, const LineData &data)
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerEvict, clock_.now(),
                        line_addr);
 
-    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
-        PhysAddr word_addr = line_addr + i * kEccGroupSize;
-        std::uint64_t word = lineWord(data, i);
-        memory_.writeWord(word_addr, word);
-        if (mode_ != EccMode::Disabled)
-            memory_.writeCheck(word_addr, static_cast<std::uint8_t>(
-                                              code_.encode(word)));
-    }
+    std::uint64_t words[kEccGroupsPerLine];
+    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
+        words[i] = lineWord(data, i);
+    storeLine(line_addr, words);
 
     if (!geometry_.isWord() && mode_ != EccMode::Disabled) {
         // The EDC fold rides with the burst and covers exactly this
         // line, so the writeback computes it from the new data alone.
         // (With ECC Disabled it goes stale alongside the check bytes —
         // the hook the scramble trick relies on.)
-        std::uint64_t words[kEccGroupsPerLine];
-        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-            words[i] = lineWord(data, i);
         memory_.writeEdc(line_addr,
                          edcLineFold(geometry_.edc, words,
                                      kEccGroupsPerLine));
@@ -440,16 +433,22 @@ MemoryController::auditWritebackCoherence(PhysAddr line_addr,
 }
 
 void
-MemoryController::writeLineDeviceOp(PhysAddr line_addr, const LineWords &words)
+MemoryController::storeLine(PhysAddr line_addr, const std::uint64_t *words)
 {
     if (mode_ == EccMode::Disabled) {
-        memory_.writeLine(line_addr, words.data(), nullptr);
+        memory_.writeLine(line_addr, words, nullptr);
         return;
     }
     std::uint8_t checks[kEccGroupsPerLine];
     for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
         checks[i] = static_cast<std::uint8_t>(code_.encode(words[i]));
-    memory_.writeLine(line_addr, words.data(), checks);
+    memory_.writeLine(line_addr, words, checks);
+}
+
+void
+MemoryController::writeLineDeviceOp(PhysAddr line_addr, const LineWords &words)
+{
+    storeLine(line_addr, words.data());
 }
 
 LineWords

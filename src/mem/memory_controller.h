@@ -244,6 +244,12 @@ class MemoryController
      *  fast-check with decode-on-miss under a block geometry. */
     void scrubLine(PhysAddr line_addr);
 
+    /** Store the line at line-aligned @p line_addr by the one per-word
+     *  rule of evictLine() and writeLineDeviceOp(): each check byte
+     *  encoded afresh from its word, or left as stored while ECC is
+     *  Disabled. Charges nothing and leaves any EDC fold as is. */
+    void storeLine(PhysAddr line_addr, const std::uint64_t *words);
+
     /** SimCheck: written-back line must read back verbatim and decode
      *  clean (run only while auditing is enabled). */
     void auditWritebackCoherence(PhysAddr line_addr,

@@ -240,6 +240,19 @@ Kernel::translate(VirtAddr vaddr)
     panic("Kernel::translate: SEGV handler loop on address ", vaddr);
 }
 
+bool
+Kernel::translateHits(VirtAddr vaddr, PhysAddr paddr, std::uint64_t count)
+{
+    Tlb &tlb = current_->space_.tlb;
+    VirtAddr vpage = alignDown(vaddr, kPageSize);
+    const PageTableEntry *entry = tlb.mruEntry(vpage);
+    if (!entry || !entry->present || !entry->accessible ||
+        entry->frame + (vaddr - vpage) != paddr)
+        return false;
+    tlb.hitMru(count);
+    return true;
+}
+
 std::optional<PhysAddr>
 Kernel::peekTranslate(VirtAddr vaddr) const
 {

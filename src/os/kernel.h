@@ -116,6 +116,15 @@ class Kernel
     PhysAddr translate(VirtAddr vaddr);
 
     /**
+     * Charge @p count more translations of addresses in the page of
+     * @p vaddr, exactly as @p count translate() calls would, when each
+     * would hit the TLB's MRU slot on a resident, accessible page whose
+     * frame places @p vaddr at @p paddr.
+     * @return false, with nothing charged, when they would not.
+     */
+    bool translateHits(VirtAddr vaddr, PhysAddr paddr, std::uint64_t count);
+
+    /**
      * Pure page-table lookup for the current process: no cycle charge,
      * no TLB traffic, no page-in, no SIGSEGV (tests and the tradeoff
      * bench use it to find the frame behind an address).

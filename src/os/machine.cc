@@ -88,7 +88,7 @@ Machine::contextSwitchTo(Pid to)
                        clock_.now(), from, to);
 }
 
-void
+PhysAddr
 Machine::accessSpan(VirtAddr addr, void *buffer, std::size_t size,
                     bool is_write)
 {
@@ -105,7 +105,7 @@ Machine::accessSpan(VirtAddr addr, void *buffer, std::size_t size,
             ? cache_->writeBlock(paddr, buffer, size)
             : cache_->readBlock(paddr, buffer, size);
         if (done == size)
-            return;
+            return paddr + size;
         if (done > 0)
             attempts = 0;
         if (++attempts >= 8)
@@ -117,6 +117,22 @@ Machine::accessSpan(VirtAddr addr, void *buffer, std::size_t size,
     }
 }
 
+PhysAddr
+Machine::access(VirtAddr addr, void *buffer, std::size_t size, bool is_write)
+{
+    auto *cursor = static_cast<std::uint8_t *>(buffer);
+    PhysAddr end = 0;
+    while (size > 0) {
+        VirtAddr page_end = alignDown(addr, kPageSize) + kPageSize;
+        std::size_t span = std::min<std::size_t>(size, page_end - addr);
+        end = accessSpan(addr, cursor, span, is_write);
+        addr += span;
+        cursor += span;
+        size -= span;
+    }
+    return end;
+}
+
 void
 Machine::read(VirtAddr addr, void *out, std::size_t size)
 {
@@ -126,16 +142,7 @@ Machine::read(VirtAddr addr, void *out, std::size_t size)
     if (const AccessHook &hook = kernel_->currentAccessHook())
         hook(addr, size, false);
     maybeTick();
-
-    auto *cursor = static_cast<std::uint8_t *>(out);
-    while (size > 0) {
-        VirtAddr page_end = alignDown(addr, kPageSize) + kPageSize;
-        std::size_t span = std::min<std::size_t>(size, page_end - addr);
-        accessSpan(addr, cursor, span, false);
-        addr += span;
-        cursor += span;
-        size -= span;
-    }
+    access(addr, out, size, false);
 }
 
 void
@@ -147,16 +154,33 @@ Machine::write(VirtAddr addr, const void *in, std::size_t size)
     if (const AccessHook &hook = kernel_->currentAccessHook())
         hook(addr, size, true);
     maybeTick();
+    access(addr, const_cast<void *>(in), size, true);
+}
 
-    auto *cursor = const_cast<std::uint8_t *>(
-        static_cast<const std::uint8_t *>(in));
-    while (size > 0) {
-        VirtAddr page_end = alignDown(addr, kPageSize) + kPageSize;
-        std::size_t span = std::min<std::size_t>(size, page_end - addr);
-        accessSpan(addr, cursor, span, true);
-        addr += span;
-        cursor += span;
-        size -= span;
+void
+Machine::readWords(VirtAddr addr, std::uint64_t *out, std::size_t n)
+{
+    constexpr std::size_t kWord = sizeof(std::uint64_t);
+    std::size_t i = 0;
+    while (i < n) {
+        // Word i takes read()'s path, minus the access hook.
+        kernel_->noteAccessType(false);
+        maybeTick();
+        PhysAddr end = access(addr + i * kWord, &out[i], kWord, false);
+        ++i;
+        // The words left in its line that arrive before the next tick
+        // would each hit the TLB's MRU slot and the line just touched.
+        std::size_t quiet = config_.tickInterval > accessesSinceTick_ + 1
+            ? config_.tickInterval - accessesSinceTick_ - 1
+            : 0;
+        std::size_t run = std::min<std::size_t>(
+            {n - i, (alignUp(end, kCacheLineSize) - end) / kWord, quiet});
+        if (run == 0 || !kernel_->translateHits(addr + i * kWord, end, run))
+            continue;
+        kernel_->noteAccessType(false);
+        cache_->readWordHits(end, &out[i], run);
+        accessesSinceTick_ += static_cast<std::uint32_t>(run);
+        i += run;
     }
 }
 

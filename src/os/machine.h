@@ -125,6 +125,24 @@ class Machine
         write(addr, &value, sizeof(T));
     }
 
+    /**
+     * Load the @p n 8-byte words at @p addr, @p addr + 8, ... into
+     * @p out for tool code, with exactly the simulated effect of @p n
+     * load<std::uint64_t>() calls: ticks at the same words (so the same
+     * scrub passes, SimCheck audits and scheduling points), the same
+     * TLB and cache counts, LRU stamps, fills, writebacks, cycles per
+     * cost center and trace records. The one difference: no access
+     * hook runs, because tool code is not instrumented.
+     *
+     * The host work is done once per cache line: the line's first word
+     * takes the full path, and the words after it, up to the next tick,
+     * are charged in one step as hits on the TLB's MRU slot and on the
+     * now-resident cache way. Whenever that slot no longer holds the
+     * page (a SIGSEGV handler's mprotect flushed it, say), the next
+     * word takes the full path instead.
+     */
+    void readWords(VirtAddr addr, std::uint64_t *out, std::size_t n);
+
     /** Model @p cycles of pure computation (no memory traffic). */
     void compute(Cycles cycles) { clock_.advance(cycles); }
     /// @}
@@ -199,9 +217,20 @@ class Machine
     PhysicalMemory &physicalMemory() { return *memory_; }
 
   private:
-    /** One page-bounded span of an access: translate once, touch lines. */
-    void accessSpan(VirtAddr addr, void *buffer, std::size_t size,
+    /**
+     * The address translation and cache part of an access: split at
+     * page boundaries, accessSpan() each piece.
+     * @return the physical address just past the access's last byte.
+     */
+    PhysAddr access(VirtAddr addr, void *buffer, std::size_t size,
                     bool is_write);
+
+    /**
+     * One page-bounded span of an access: translate once, touch lines.
+     * @return the physical address just past the span.
+     */
+    PhysAddr accessSpan(VirtAddr addr, void *buffer, std::size_t size,
+                        bool is_write);
 
     /** Periodic work folded into the access path: kernel tick + audits
      *  + the scheduling point. */

@@ -101,6 +101,29 @@ class Tlb
         return hit;
     }
 
+    /**
+     * @return the cached entry of the slot last hit or filled when that
+     *         slot holds @p vpage, else null. Counts nothing: hitMru()
+     *         charges the lookups this answers.
+     */
+    PageTableEntry *
+    mruEntry(VirtAddr vpage) const
+    {
+        return mru_ < slots_.size() && slots_[mru_].vpage == vpage
+            ? slots_[mru_].entry
+            : nullptr;
+    }
+
+    /** Record @p count hits on the slot mruEntry() found, exactly as
+     *  @p count lookup()s of its vpage would. */
+    void
+    hitMru(std::uint64_t count)
+    {
+        stamp_ += count;
+        slots_[mru_].lastUse = stamp_;
+        stats_.add(TlbStat::Hits, count);
+    }
+
     /** Remove any entry for @p vpage (single-page invalidation). */
     void
     invalidate(VirtAddr vpage)

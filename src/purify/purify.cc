@@ -258,7 +258,6 @@ PurifyTool::onAccess(VirtAddr addr, std::size_t size, bool is_write)
 void
 PurifyTool::markAndSweep()
 {
-    ToolCodeGuard guard(inToolCode_);
     CostScope scope(machine_.clock(), CostCenter::ToolLeak);
     lastSweep_ = appNow();
     stats_.add(PurifyStat::Sweeps);
@@ -297,18 +296,26 @@ PurifyTool::markAndSweep()
     };
 
     if (rootProvider_) {
-        for (VirtAddr root : rootProvider_())
+        // Sorted, so the scan order, and with it the sweep's cache and
+        // TLB traffic, does not depend on the provider's container.
+        std::vector<VirtAddr> roots = rootProvider_();
+        std::sort(roots.begin(), roots.end());
+        for (VirtAddr root : roots)
             mark(root);
     }
 
+    std::vector<std::uint64_t> words;
     for (std::size_t next = 0; next < worklist.size(); ++next) {
         const Span &span = spans[worklist[next]];
 
         // Scan the block's words for values that look like pointers.
-        std::size_t words = (span.end - span.user) / 8;
-        machine_.clock().advance(words * kPurifySweepWordCycles);
-        for (std::size_t i = 0; i < words; ++i)
-            mark(machine_.load<std::uint64_t>(span.user + i * 8));
+        // readWords() runs no access hook, so the scan needs no
+        // ToolCodeGuard.
+        words.resize((span.end - span.user) / 8);
+        machine_.clock().advance(words.size() * kPurifySweepWordCycles);
+        machine_.readWords(span.user, words.data(), words.size());
+        for (std::uint64_t word : words)
+            mark(word);
     }
 
     // Sweep phase: unmarked live blocks are leaks.

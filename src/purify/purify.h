@@ -12,9 +12,11 @@
  *  - every application access pays a shadow check;
  *  - compute-bound code pays an instrumentation multiplier, since real
  *    Purify instruments stack/register spills and local accesses too;
- *  - every mark-and-sweep scans all live heap words through the machine
- *    (polluting the cache exactly like the real thing) and pauses the
- *    program for its duration.
+ *  - every mark-and-sweep loads every word of every *reachable* block
+ *    through the machine, one Machine::readWords() call per block
+ *    (polluting the cache exactly like the real thing), and pauses the
+ *    program for its duration. It starts from the sorted root set, so
+ *    its order does not depend on the root provider's container.
  */
 
 #pragma once

@@ -205,41 +205,58 @@ TEST_F(ControllerTest, DisabledModeSkipsChecksAndStalesChecks)
 TEST_F(ControllerTest, LineDeviceWriteFollowsThePerWordRuleInEveryMode)
 {
     // Oracle, one word at a time: under Disabled the stored check byte
-    // keeps its old value, in every other mode it is encode(word).
+    // keeps its old value, in every other mode it is encode(word). The
+    // kernel's device write and the cache's writeback store a line by
+    // this one rule; only the writeback charges a DRAM line transfer.
     const EccCodec &code = defaultCodec();
     const EccMode modes[] = {EccMode::Disabled, EccMode::CheckOnly,
                              EccMode::CorrectError,
                              EccMode::CorrectAndScrub};
-    for (EccMode mode : modes) {
-        SCOPED_TRACE(static_cast<int>(mode));
-        const PhysAddr line = 512;
-        std::uint8_t before[kEccGroupsPerLine];
-        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
-            before[i] = static_cast<std::uint8_t>(0x11 * (i + 1));
-            memory.writeCheck(line + i * kEccGroupSize, before[i]);
-        }
+    for (bool evict : {false, true}) {
+        for (EccMode mode : modes) {
+            SCOPED_TRACE(::testing::Message()
+                         << (evict ? "evictLine" : "writeLineDeviceOp")
+                         << " in mode " << static_cast<int>(mode));
+            const PhysAddr line = 512;
+            std::uint8_t before[kEccGroupsPerLine];
+            for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+                before[i] = static_cast<std::uint8_t>(0x11 * (i + 1));
+                memory.writeWord(line + i * kEccGroupSize, 0);
+                memory.writeCheck(line + i * kEccGroupSize, before[i]);
+            }
 
-        LineWords words;
-        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-            words[i] = (0x0123456789abcdefULL * (i + 3)) ^ (1ULL << (i * 7));
-        controller.setMode(mode);
-        const Cycles t0 = clock.now();
-        controller.writeLineDeviceOp(line, words);
-        EXPECT_EQ(clock.now(), t0) << "device ops charge no cycles";
+            LineWords words;
+            for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
+                words[i] = (0x0123456789abcdefULL * (i + 3)) ^
+                           (1ULL << (i * 7));
+            controller.setMode(mode);
+            const Cycles t0 = clock.now();
+            if (evict) {
+                LineData data;
+                for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
+                    setLineWord(data, i, words[i]);
+                controller.evictLine(line, data);
+                EXPECT_EQ(clock.now(), t0 + kDramLineCycles);
+            } else {
+                controller.writeLineDeviceOp(line, words);
+                EXPECT_EQ(clock.now(), t0) << "device ops charge no cycles";
+            }
 
-        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
-            const PhysAddr addr = line + i * kEccGroupSize;
-            EXPECT_EQ(memory.readWord(addr), words[i]) << "word " << i;
-            const std::uint8_t want =
-                mode == EccMode::Disabled
-                    ? before[i]
-                    : static_cast<std::uint8_t>(code.encode(words[i]));
-            EXPECT_EQ(memory.readCheck(addr), want) << "word " << i;
+            for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+                const PhysAddr addr = line + i * kEccGroupSize;
+                EXPECT_EQ(memory.readWord(addr), words[i]) << "word " << i;
+                const std::uint8_t want =
+                    mode == EccMode::Disabled
+                        ? before[i]
+                        : static_cast<std::uint8_t>(code.encode(words[i]));
+                EXPECT_EQ(memory.readCheck(addr), want) << "word " << i;
+            }
+            // Only the addressed line moved.
+            EXPECT_EQ(memory.readWord(line - kEccGroupSize), 0u);
+            EXPECT_EQ(memory.readWord(line + kCacheLineSize), 0u);
         }
-        // Only the addressed line moved.
-        EXPECT_EQ(memory.readWord(line - kEccGroupSize), 0u);
-        EXPECT_EQ(memory.readWord(line + kCacheLineSize), 0u);
     }
+    EXPECT_EQ(controller.stats().get(ControllerStat::LineEvictions), 4u);
     EXPECT_EQ(interrupts, 0);
 }
 
