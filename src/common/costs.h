@@ -99,6 +99,9 @@ inline constexpr Cycles kPurifyShadowByteCycles = 2;
 /** Purify-model mark-and-sweep cost per heap word scanned. */
 inline constexpr Cycles kPurifySweepWordCycles = 6;
 
+/** Application cycles between Purify's mark-and-sweep leak scans. */
+inline constexpr Cycles kPurifySweepPeriod = 8'000'000;
+
 /** Scrubbing one ECC group during a scrub pass. */
 inline constexpr Cycles kScrubWordCycles = 2;
 

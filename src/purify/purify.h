@@ -17,6 +17,14 @@
  *    (polluting the cache exactly like the real thing), and pauses the
  *    program for its duration. It starts from the sorted root set, so
  *    its order does not depend on the root provider's container.
+ *
+ * A sweep runs from inside malloc, free or realloc once a period of
+ * application time has passed, and only at a point where the program
+ * holds every block it has not lost: malloc sweeps before the new
+ * block goes live (the caller has not stored the pointer yet), and
+ * realloc sweeps once, after the old block is freed and before the new
+ * one goes live. A freed address leaves the set of reported leaks, so
+ * a block the allocator later hands out there is judged afresh.
  */
 
 #pragma once
@@ -117,6 +125,22 @@ class PurifyTool : public Tool
         std::uint64_t siteTag = 0;
     };
 
+    /** Allocate a red-zoned block of @p size user bytes and shadow it;
+     *  the block is not live until adopt(). */
+    Block placeBlock(std::size_t size, std::uint64_t site_tag);
+
+    /** Make @p block live: sweeps scan it and may report it. */
+    void adopt(const Block &block);
+
+    /** Shadow the live block at @p addr Freed and return it to the
+     *  allocator. */
+    void retire(VirtAddr addr);
+
+    /** Run markAndSweep() once a sweep period of application time has
+     *  passed since the last one. Called only where every live block
+     *  the program still holds is in the root set. */
+    void maybeSweep();
+
     /** The per-access instrumentation (machine access hook). */
     void onAccess(VirtAddr addr, std::size_t size, bool is_write);
 
@@ -143,7 +167,8 @@ class PurifyTool : public Tool
 
     std::vector<CorruptionReport> corruptionReports_;
     std::vector<LeakReport> leakReports_;
-    /** Blocks already reported leaked (avoid duplicates across sweeps). */
+    /** Live blocks already reported leaked (no duplicates across
+     *  sweeps); freeing a block removes its address. */
     std::unordered_set<VirtAddr> reportedLeaked_;
     std::uint64_t uninitReads_ = 0;
     StatSet stats_{kPurifyStatNames};

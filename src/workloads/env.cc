@@ -33,9 +33,11 @@ VirtAddr
 Env::reallocBytes(VirtAddr addr, std::size_t new_size,
                   std::uint64_t site_tag)
 {
+    // The old pointer stays held until realloc returns: a leak scan
+    // inside the call must still see it.
+    VirtAddr fresh = tool_.toolRealloc(addr, new_size, stack_, site_tag);
     if (addr != 0)
         roots_.erase(addr);
-    VirtAddr fresh = tool_.toolRealloc(addr, new_size, stack_, site_tag);
     roots_.insert(fresh);
     return fresh;
 }
