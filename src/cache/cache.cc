@@ -14,67 +14,73 @@ Cache::Cache(MemoryController &controller, CycleClock &clock,
 {
     if (config_.sets == 0 || config_.ways == 0)
         fatal("Cache: geometry must be non-zero");
-    sets_.assign(config_.sets, std::vector<Way>(config_.ways));
+    const std::size_t slots = config_.sets * config_.ways;
+    tags_.assign(slots, kInvalidTag);
+    lastUse_.assign(slots, 0);
+    state_.assign(slots, WayState{});
+    data_.assign(slots, LineData{});
 }
 
-Cache::Way *
+std::size_t
 Cache::fillLine(PhysAddr line_addr)
 {
     clock_.advance(kCacheMissMgmtCycles);
 
     // Victim: first invalid way, else LRU.
-    std::vector<Way> &set = sets_[setIndex(line_addr)];
-    Way *victim = &set[0];
-    for (Way &way : set) {
-        if (!way.valid) {
-            victim = &way;
+    const std::size_t base = setBase(line_addr);
+    std::size_t victim = base;
+    for (std::size_t slot = base; slot < base + config_.ways; ++slot) {
+        if (tags_[slot] == kInvalidTag) {
+            victim = slot;
             break;
         }
-        if (way.lastUse < victim->lastUse)
-            victim = &way;
+        if (lastUse_[slot] < lastUse_[victim])
+            victim = slot;
     }
 
-    if (victim->valid && victim->ownerPid != currentPid_) {
-        // Consolidation contention: this fill pushes out a line some
-        // other process brought in (a shared-cache effect no
-        // single-process run can produce, so the counter stays 0 there).
-        stats_.add(CacheStat::CrossProcEvictions);
+    if (tags_[victim] != kInvalidTag) {
+        if (state_[victim].ownerPid != currentPid_) {
+            // Consolidation contention: this fill pushes out a line some
+            // other process brought in (a shared-cache effect no
+            // single-process run can produce, so the counter stays 0
+            // there).
+            stats_.add(CacheStat::CrossProcEvictions);
+        }
+        if (state_[victim].dirty) {
+            stats_.add(CacheStat::Writebacks);
+            controller_.evictLine(tags_[victim], data_[victim]);
+            traceWriteback(tags_[victim]);
+        }
     }
-    if (victim->valid && victim->dirty) {
-        stats_.add(CacheStat::Writebacks);
-        controller_.evictLine(victim->lineAddr, victim->data);
-        traceWriteback(victim->lineAddr);
-    }
-    victim->valid = false;
+    tags_[victim] = kInvalidTag;
+    state_[victim].dirty = false;
 
-    LineData data;
-    if (!controller_.fillLine(line_addr, data)) {
+    // The controller writes the line straight into the victim's slot,
+    // and leaves it alone when the fill faults.
+    if (!controller_.fillLine(line_addr, data_[victim])) {
         // Uncorrectable ECC error: the interrupt handler has run; do not
         // install the line, let the access restart. This is counted as a
         // faulted fill, not a completed miss — only a fill that installs
         // the line increments `misses`, so a faulted-then-retried access
         // shows up as one miss plus one faulted fill, never two misses.
         stats_.add(CacheStat::FaultedFills);
-        return nullptr;
+        return kNoSlot;
     }
 
     stats_.add(CacheStat::Misses);
-    victim->valid = true;
-    victim->dirty = false;
-    victim->lineAddr = line_addr;
-    victim->lastUse = ++useCounter_;
-    victim->ownerPid = currentPid_;
-    victim->data = data;
+    tags_[victim] = line_addr;
+    lastUse_[victim] = ++useCounter_;
+    state_[victim] = WayState{false, currentPid_};
     return victim;
 }
 
 bool
 Cache::readMiss(PhysAddr line_addr, PhysAddr addr, void *out, std::size_t size)
 {
-    Way *way = fillLine(line_addr);
-    if (!way)
+    std::size_t slot = fillLine(line_addr);
+    if (slot == kNoSlot)
         return false;
-    std::memcpy(out, way->data.data() + (addr - line_addr), size);
+    std::memcpy(out, data_[slot].data() + (addr - line_addr), size);
     return true;
 }
 
@@ -84,11 +90,11 @@ Cache::writeMiss(PhysAddr line_addr, PhysAddr addr, const void *in,
 {
     // Write-allocate: a write miss performs a read-for-ownership fill,
     // which is exactly why writes to watched lines still trigger faults.
-    Way *way = fillLine(line_addr);
-    if (!way)
+    std::size_t slot = fillLine(line_addr);
+    if (slot == kNoSlot)
         return false;
-    std::memcpy(way->data.data() + (addr - line_addr), in, size);
-    way->dirty = true;
+    std::memcpy(data_[slot].data() + (addr - line_addr), in, size);
+    state_[slot].dirty = true;
     return true;
 }
 
@@ -129,24 +135,12 @@ Cache::writeBlock(PhysAddr addr, const void *in, std::size_t size)
 void
 Cache::flushLine(PhysAddr line_addr)
 {
-    clock_.advance(kCacheFlushLineCycles);
-    Way *way = lookup(line_addr);
-    if (!way)
+    std::size_t slot = lookup(line_addr);
+    if (slot == kNoSlot) {
+        clock_.advance(kCacheFlushLineCycles);
         return;
-    bool wrote_back = false;
-    if (way->dirty) {
-        stats_.add(CacheStat::Writebacks);
-        controller_.evictLine(way->lineAddr, way->data);
-        traceWriteback(way->lineAddr);
-        wrote_back = true;
     }
-    SIMCHECK_AUDIT(AuditDomain::Cache, "no_dirty_loss_on_flush",
-                   !way->dirty || wrote_back,
-                   "dirty line ", line_addr, " dropped without writeback");
-    way->valid = false;
-    way->dirty = false;
-    stats_.add(CacheStat::Flushes);
-    traceFlush(line_addr);
+    flushSlot(slot);
 }
 
 void
@@ -156,28 +150,31 @@ Cache::flushAll()
     // line: kCacheFlushLineCycles and one `flushes` count per valid way.
     // Invalid ways are skipped — a bulk flush iterates the tag array, it
     // does not issue a flush per possible address.
-    for (auto &set : sets_) {
-        for (Way &way : set) {
-            if (!way.valid)
-                continue;
-            clock_.advance(kCacheFlushLineCycles);
-            bool wrote_back = false;
-            if (way.dirty) {
-                stats_.add(CacheStat::Writebacks);
-                controller_.evictLine(way.lineAddr, way.data);
-                traceWriteback(way.lineAddr);
-                wrote_back = true;
-            }
-            SIMCHECK_AUDIT(AuditDomain::Cache, "no_dirty_loss_on_flush",
-                           !way.dirty || wrote_back,
-                           "dirty line ", way.lineAddr,
-                           " dropped without writeback in flushAll");
-            way.valid = false;
-            way.dirty = false;
-            stats_.add(CacheStat::Flushes);
-            traceFlush(way.lineAddr);
-        }
+    for (std::size_t slot = 0; slot < tags_.size(); ++slot) {
+        if (tags_[slot] != kInvalidTag)
+            flushSlot(slot);
     }
+}
+
+void
+Cache::flushSlot(std::size_t slot)
+{
+    clock_.advance(kCacheFlushLineCycles);
+    const PhysAddr line_addr = tags_[slot];
+    bool wrote_back = false;
+    if (state_[slot].dirty) {
+        stats_.add(CacheStat::Writebacks);
+        controller_.evictLine(line_addr, data_[slot]);
+        traceWriteback(line_addr);
+        wrote_back = true;
+    }
+    SIMCHECK_AUDIT(AuditDomain::Cache, "no_dirty_loss_on_flush",
+                   !state_[slot].dirty || wrote_back,
+                   "dirty line ", line_addr, " dropped without writeback");
+    tags_[slot] = kInvalidTag;
+    state_[slot].dirty = false;
+    stats_.add(CacheStat::Flushes);
+    traceFlush(line_addr);
 }
 
 void
@@ -204,7 +201,7 @@ Cache::traceFlush(PhysAddr line_addr)
 bool
 Cache::contains(PhysAddr line_addr) const
 {
-    return lookup(line_addr) != nullptr;
+    return lookup(line_addr) != kNoSlot;
 }
 
 void
@@ -218,29 +215,29 @@ Cache::auditResidency() const
     if (!simCheckActive())
         return;
     std::unordered_set<PhysAddr> resident;
-    for (std::size_t s = 0; s < sets_.size(); ++s) {
-        for (const Way &way : sets_[s]) {
-            if (!way.valid) {
-                SIMCHECK_AUDIT(AuditDomain::Cache, "invalid_way_clean",
-                               !way.dirty, "invalid way in set ", s,
-                               " still flagged dirty");
-                continue;
-            }
-            SIMCHECK_AUDIT(AuditDomain::Cache, "line_alignment",
-                           isAligned(way.lineAddr, kCacheLineSize),
-                           "resident line ", way.lineAddr, " misaligned");
-            SIMCHECK_AUDIT(AuditDomain::Cache, "set_placement",
-                           setIndex(way.lineAddr) == s,
-                           "line ", way.lineAddr, " resident in set ", s,
-                           " but hashes to set ", setIndex(way.lineAddr));
-            SIMCHECK_AUDIT(AuditDomain::Cache, "unique_residency",
-                           resident.insert(way.lineAddr).second,
-                           "line ", way.lineAddr, " resident in two ways");
-            SIMCHECK_AUDIT(AuditDomain::Cache, "lru_stamp_bound",
-                           way.lastUse <= useCounter_,
-                           "LRU stamp ", way.lastUse,
-                           " ahead of use counter ", useCounter_);
+    for (std::size_t slot = 0; slot < tags_.size(); ++slot) {
+        const std::size_t set = slot / config_.ways;
+        const PhysAddr tag = tags_[slot];
+        if (tag == kInvalidTag) {
+            SIMCHECK_AUDIT(AuditDomain::Cache, "invalid_way_clean",
+                           !state_[slot].dirty, "invalid way in set ", set,
+                           " still flagged dirty");
+            continue;
         }
+        SIMCHECK_AUDIT(AuditDomain::Cache, "line_alignment",
+                       isAligned(tag, kCacheLineSize),
+                       "resident line ", tag, " misaligned");
+        SIMCHECK_AUDIT(AuditDomain::Cache, "set_placement",
+                       setBase(tag) == set * config_.ways,
+                       "line ", tag, " resident in set ", set,
+                       " but hashes to set ", setBase(tag) / config_.ways);
+        SIMCHECK_AUDIT(AuditDomain::Cache, "unique_residency",
+                       resident.insert(tag).second,
+                       "line ", tag, " resident in two ways");
+        SIMCHECK_AUDIT(AuditDomain::Cache, "lru_stamp_bound",
+                       lastUse_[slot] <= useCounter_,
+                       "LRU stamp ", lastUse_[slot],
+                       " ahead of use counter ", useCounter_);
     }
 }
 

@@ -15,6 +15,10 @@
  * The hit path is deliberately header-inline: a resident-line access is a
  * tag scan, one clock advance, one slot-counter increment and a memcpy,
  * with no out-of-line call. Misses, flushes and audits live in cache.cc.
+ *
+ * Ways live in flat arrays indexed by set * ways + way: tags, LRU
+ * stamps, per-way state and line data. A lookup scans one set's row of
+ * the tag array (64 bytes for 8 ways) and touches no line data.
  */
 
 #pragma once
@@ -84,9 +88,10 @@ class Cache
         PhysAddr line_addr = alignDown(addr, kCacheLineSize);
         if (addr + size > line_addr + kCacheLineSize)
             panic("Cache::read crosses a line boundary at ", addr);
-        if (Way *way = lookup(line_addr)) {
-            touchHit(*way);
-            std::memcpy(out, way->data.data() + (addr - line_addr), size);
+        std::size_t slot = lookup(line_addr);
+        if (slot != kNoSlot) {
+            touchHit(slot);
+            std::memcpy(out, data_[slot].data() + (addr - line_addr), size);
             return true;
         }
         return readMiss(line_addr, addr, out, size);
@@ -99,10 +104,11 @@ class Cache
         PhysAddr line_addr = alignDown(addr, kCacheLineSize);
         if (addr + size > line_addr + kCacheLineSize)
             panic("Cache::write crosses a line boundary at ", addr);
-        if (Way *way = lookup(line_addr)) {
-            touchHit(*way);
-            std::memcpy(way->data.data() + (addr - line_addr), in, size);
-            way->dirty = true;
+        std::size_t slot = lookup(line_addr);
+        if (slot != kNoSlot) {
+            touchHit(slot);
+            std::memcpy(data_[slot].data() + (addr - line_addr), in, size);
+            state_[slot].dirty = true;
             return true;
         }
         return writeMiss(line_addr, addr, in, size);
@@ -118,15 +124,15 @@ class Cache
     readWordHits(PhysAddr addr, std::uint64_t *out, std::size_t count)
     {
         PhysAddr line_addr = alignDown(addr, kCacheLineSize);
-        Way *way = lookup(line_addr);
-        if (!way || addr + count * 8 > line_addr + kCacheLineSize)
+        std::size_t slot = lookup(line_addr);
+        if (slot == kNoSlot || addr + count * 8 > line_addr + kCacheLineSize)
             panic("Cache::readWordHits: ", count, " words at ", addr,
                   " are not in one resident line");
         clock_.advance(count * kCacheHitCycles);
         stats_.add(CacheStat::Hits, count);
         useCounter_ += count;
-        way->lastUse = useCounter_;
-        std::memcpy(out, way->data.data() + (addr - line_addr), count * 8);
+        lastUse_[slot] = useCounter_;
+        std::memcpy(out, data_[slot].data() + (addr - line_addr), count * 8);
     }
 
     /**
@@ -171,50 +177,46 @@ class Cache
     void setCurrentPid(std::uint32_t pid) { currentPid_ = pid; }
 
   private:
-    struct Way
+    /** lookup()'s and fillLine()'s "no such way". */
+    static constexpr std::size_t kNoSlot = ~std::size_t{0};
+
+    /** Tag of an invalid way: no line-aligned address equals it. */
+    static constexpr PhysAddr kInvalidTag = ~PhysAddr{0};
+
+    /** What a resident way carries besides its tag, stamp and data. */
+    struct WayState
     {
-        bool valid = false;
         bool dirty = false;
-        PhysAddr lineAddr = 0;
-        std::uint64_t lastUse = 0;
         std::uint32_t ownerPid = 0; ///< process whose access filled it
-        LineData data{};
     };
 
+    /** @return the slot of way 0 of @p line_addr's set. */
     std::size_t
-    setIndex(PhysAddr line_addr) const
+    setBase(PhysAddr line_addr) const
     {
-        return (line_addr / kCacheLineSize) % config_.sets;
+        return (line_addr / kCacheLineSize) % config_.sets * config_.ways;
     }
 
-    /** Locate @p line_addr in its set; nullptr on miss. */
-    Way *
-    lookup(PhysAddr line_addr)
-    {
-        for (Way &way : sets_[setIndex(line_addr)]) {
-            if (way.valid && way.lineAddr == line_addr)
-                return &way;
-        }
-        return nullptr;
-    }
-
-    const Way *
+    /** @return the slot holding @p line_addr, or kNoSlot on a miss. */
+    std::size_t
     lookup(PhysAddr line_addr) const
     {
-        for (const Way &way : sets_[setIndex(line_addr)]) {
-            if (way.valid && way.lineAddr == line_addr)
-                return &way;
+        const std::size_t base = setBase(line_addr);
+        const PhysAddr *row = tags_.data() + base;
+        for (std::size_t way = 0; way < config_.ways; ++way) {
+            if (row[way] == line_addr)
+                return base + way;
         }
-        return nullptr;
+        return kNoSlot;
     }
 
     /** Hit bookkeeping: latency, counter, LRU stamp. */
     void
-    touchHit(Way &way)
+    touchHit(std::size_t slot)
     {
         clock_.advance(kCacheHitCycles);
         stats_.add(CacheStat::Hits);
-        way.lastUse = ++useCounter_;
+        lastUse_[slot] = ++useCounter_;
     }
 
     /** Out-of-line miss paths: fill (evicting as needed), then copy. */
@@ -225,9 +227,13 @@ class Cache
 
     /**
      * Fill @p line_addr into a victim way.
-     * @return the filled way, or nullptr when the fill faulted.
+     * @return the filled slot, or kNoSlot when the fill faulted.
      */
-    Way *fillLine(PhysAddr line_addr);
+    std::size_t fillLine(PhysAddr line_addr);
+
+    /** Write back (if dirty) and invalidate the resident way in
+     *  @p slot, billed as one flush. */
+    void flushSlot(std::size_t slot);
 
     /** Sampled trace emits (out of line: the hit path stays emit-free). */
     void traceWriteback(PhysAddr line_addr);
@@ -237,7 +243,12 @@ class Cache
     CycleClock &clock_;
     CacheConfig config_;
     Trace *trace_;
-    std::vector<std::vector<Way>> sets_;
+    /** Per way, indexed by set * ways + way. The tag array is the only
+     *  record of a way's line address and of whether it is valid. */
+    std::vector<PhysAddr> tags_;
+    std::vector<std::uint64_t> lastUse_;
+    std::vector<WayState> state_;
+    std::vector<LineData> data_;
     std::uint64_t useCounter_ = 0;
     std::uint32_t currentPid_ = 0;
     StatSet stats_{kCacheStatNames};

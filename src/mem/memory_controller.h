@@ -155,10 +155,14 @@ class MemoryController
     /// @}
 
     /**
-     * Cache-initiated line fill with full ECC decode.
+     * Cache-initiated line fill with full ECC decode. A word-geometry
+     * fill of a line this controller encoded itself (see
+     * PhysicalMemory::encodedBy()) skips the syndrome check, which
+     * could only come out zero.
      *
      * @param line_addr line-aligned physical address.
-     * @param out       receives the (possibly corrected) line contents.
+     * @param out       receives the (possibly corrected) line contents;
+     *                  left untouched when the fill fails.
      * @return false when any group had an uncorrectable error; the
      *         interrupt handler has already run by then and the caller is
      *         expected to retry the fill.
@@ -260,6 +264,8 @@ class MemoryController
     PhysicalMemory &memory_;
     CycleClock &clock_;
     const EccCodec &code_;
+    /** This controller's encoded-line tag on the DIMM. */
+    const std::uint8_t encoder_;
     EccMode mode_ = EccMode::CorrectError;
     Capability busCapability_; ///< compile-time face of the bus lock
     bool busLocked_ = false;   ///< runtime face, audited by SimCheck

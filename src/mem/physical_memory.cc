@@ -59,8 +59,15 @@ PhysicalMemory::PhysicalMemory(std::size_t bytes, int check_bits,
       checkBits_(check_bits), geometry_(geometry),
       words_(bytes / kEccGroupSize), checks_(bytes / kEccGroupSize),
       edc_(geometry.isWord() ? 0 : bytes / kCacheLineSize),
-      edcZero_(geometry.isWord() ? 0 : edcZeroLineFold(geometry.edc))
+      edcZero_(geometry.isWord() ? 0 : edcZeroLineFold(geometry.edc)),
+      tags_(bytes / kCacheLineSize)
 {
+}
+
+std::uint8_t
+PhysicalMemory::newEncoderTag()
+{
+    return nextEncoder_ == kNoEncoder ? kNoEncoder : nextEncoder_++;
 }
 
 std::size_t
@@ -83,6 +90,7 @@ void
 PhysicalMemory::writeWord(PhysAddr addr, std::uint64_t value)
 {
     words_[wordIndex(addr)] = value;
+    clearTag(addr);
 }
 
 std::uint8_t
@@ -115,22 +123,40 @@ PhysicalMemory::readLine(PhysAddr line_addr, std::uint64_t *words,
 }
 
 void
-PhysicalMemory::writeLine(PhysAddr line_addr, const std::uint64_t *words,
-                          const std::uint8_t *checks)
+PhysicalMemory::writeLine(PhysAddr line_addr, const std::uint64_t *words)
 {
     std::size_t first = lineWordIndex(line_addr);
     for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
         words_[first + i] = words[i];
-    if (checks) {
-        for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-            checks_[first + i] = checks[i];
+    clearTag(line_addr);
+}
+
+void
+PhysicalMemory::writeEncodedLine(PhysAddr line_addr,
+                                 const std::uint64_t *words,
+                                 const std::uint8_t *checks,
+                                 std::uint8_t encoder)
+{
+    std::size_t first = lineWordIndex(line_addr);
+    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
+        words_[first + i] = words[i];
+        checks_[first + i] = checks[i];
     }
+    tags_[first / kEccGroupsPerLine] = encoder;
+}
+
+bool
+PhysicalMemory::encodedBy(PhysAddr line_addr, std::uint8_t encoder) const
+{
+    std::uint8_t tag = tags_[lineWordIndex(line_addr) / kEccGroupsPerLine];
+    return tag == kZeroFilled || (tag == encoder && tag != kNoEncoder);
 }
 
 void
 PhysicalMemory::writeCheck(PhysAddr addr, std::uint8_t check)
 {
     checks_[wordIndex(addr)] = check;
+    clearTag(addr);
 }
 
 void
@@ -139,6 +165,7 @@ PhysicalMemory::flipDataBit(PhysAddr addr, int bit)
     if (bit < 0 || bit > 63)
         panic("PhysicalMemory: bad data bit ", bit);
     words_[wordIndex(addr)] ^= 1ULL << bit;
+    clearTag(addr);
 }
 
 void
@@ -147,6 +174,7 @@ PhysicalMemory::flipCheckBit(PhysAddr addr, int bit)
     if (bit < 0 || bit >= checkBits_)
         panic("PhysicalMemory: bad check bit ", bit);
     checks_[wordIndex(addr)] ^= static_cast<std::uint8_t>(1u << bit);
+    clearTag(addr);
 }
 
 std::size_t

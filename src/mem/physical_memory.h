@@ -13,6 +13,11 @@
  * Every lane is an anonymous zero-fill host mapping (ZeroLane): booting
  * a DIMM costs O(1) host work whatever its capacity, and only the pages
  * a run writes become resident.
+ *
+ * One more lane holds a tag byte per line that the controller's fill
+ * path reads: which encoder's encode of the stored words the stored
+ * check bytes are, if any (see encodedBy()). It models no hardware; it
+ * lets the simulator skip recomputing syndromes it knows are zero.
  */
 
 #pragma once
@@ -90,11 +95,16 @@ class PhysicalMemory
     void readLine(PhysAddr line_addr, std::uint64_t *words,
                   std::uint8_t *checks) const;
 
-    /** Store the kEccGroupsPerLine words at @p words and the check
-     *  bytes at @p checks into the line at line-aligned @p line_addr;
-     *  a null @p checks leaves the stored check bytes untouched. */
-    void writeLine(PhysAddr line_addr, const std::uint64_t *words,
-                   const std::uint8_t *checks);
+    /** Store the kEccGroupsPerLine words at @p words into the line at
+     *  line-aligned @p line_addr, leaving the stored check bytes as
+     *  they are. */
+    void writeLine(PhysAddr line_addr, const std::uint64_t *words);
+
+    /** Store the line's words and the check bytes at @p checks, which
+     *  must be encoder @p encoder's encode of them: the one store after
+     *  which encodedBy(line_addr, encoder) holds. */
+    void writeEncodedLine(PhysAddr line_addr, const std::uint64_t *words,
+                          const std::uint8_t *checks, std::uint8_t encoder);
 
     /** Overwrite the stored check byte for the word at @p addr. */
     void writeCheck(PhysAddr addr, std::uint8_t check);
@@ -105,6 +115,30 @@ class PhysicalMemory
     /** Flip one stored check bit (< checkBits()) — models a hardware
      *  memory error. */
     void flipCheckBit(PhysAddr addr, int bit);
+
+    /** @name Encoded-line tags
+     *  A line's tag names the encoder whose encode of the stored words
+     *  the stored check bytes are. writeEncodedLine() sets it; every
+     *  other store of words or check bytes, and every injected bit
+     *  flip, clears it. A zero-filled line counts as encoded by every
+     *  encoder, because zero data has zero check bits under any linear
+     *  code. */
+    /// @{
+
+    /** The tag of no encoder: encodedBy() holds for it only on
+     *  zero-filled lines. */
+    static constexpr std::uint8_t kNoEncoder = 0xff;
+
+    /** @return a tag no other encoder of this DIMM holds, or kNoEncoder
+     *  once all 254 are taken. Each controller takes one, so it trusts
+     *  only the lines its own codec encoded. */
+    std::uint8_t newEncoderTag();
+
+    /** @return whether the stored check bytes of the line at
+     *  line-aligned @p line_addr are encoder @p encoder's encode of its
+     *  stored words, so every one of its syndromes is zero. */
+    bool encodedBy(PhysAddr line_addr, std::uint8_t encoder) const;
+    /// @}
 
     /** @name EDC lane (block geometries only)
      *  One fold word per cache line, stored with the data burst. The
@@ -130,6 +164,12 @@ class PhysicalMemory
     /// @}
 
   private:
+    /** Tag of a line never stored to since boot. */
+    static constexpr std::uint8_t kZeroFilled = 0;
+
+    /** Clear the encoded-line tag of the line holding @p addr. */
+    void clearTag(PhysAddr addr) { tags_[addr / kCacheLineSize] = kNoEncoder; }
+
     std::size_t wordIndex(PhysAddr addr) const;
     /** @return the word index of the first word of the line at
      *  @p line_addr (which must be line aligned). */
@@ -149,6 +189,9 @@ class PhysicalMemory
      */
     ZeroLane<std::uint64_t> edc_;
     std::uint64_t edcZero_;
+    /** Encoded-line tags, one per line; zero-filled reads kZeroFilled. */
+    ZeroLane<std::uint8_t> tags_;
+    std::uint8_t nextEncoder_ = kZeroFilled + 1;
 };
 
 } // namespace safemem

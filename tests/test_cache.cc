@@ -5,6 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <list>
+#include <map>
+
 #include "cache/cache.h"
 #include "common/costs.h"
 #include "common/logging.h"
@@ -316,6 +320,174 @@ TEST_P(CacheGeometry, RandomAccessPatternKeepsDataConsistent)
     for (std::size_t idx = 0; idx < mirror.size(); ++idx)
         ASSERT_EQ(memory.readWord(idx * 8), mirror[idx]);
 }
+
+/**
+ * A naive write-back, write-allocate LRU cache: per set, a list of
+ * resident lines most recently used first, and DRAM as a map of lines.
+ */
+class ReferenceCache
+{
+  public:
+    ReferenceCache(std::size_t sets, std::size_t ways)
+        : sets_(sets), ways_(ways)
+    {
+    }
+
+    struct Line
+    {
+        PhysAddr addr;
+        bool dirty;
+        LineData data;
+    };
+
+    std::uint64_t hits = 0;
+    std::uint64_t misses = 0;
+    std::vector<PhysAddr> writtenBack; ///< by the last operation
+    std::map<PhysAddr, LineData> dram;
+
+    /** Bring @p line_addr to the front of its set; @return it. */
+    Line &
+    touch(PhysAddr line_addr)
+    {
+        std::list<Line> &set = set_(line_addr);
+        for (auto it = set.begin(); it != set.end(); ++it) {
+            if (it->addr == line_addr) {
+                ++hits;
+                set.splice(set.begin(), set, it);
+                return set.front();
+            }
+        }
+        ++misses;
+        if (set.size() == ways_) {
+            writeBack(set.back());
+            set.pop_back();
+        }
+        set.push_front(Line{line_addr, false, dram[line_addr]});
+        return set.front();
+    }
+
+    void
+    flushLine(PhysAddr line_addr)
+    {
+        std::list<Line> &set = set_(line_addr);
+        for (auto it = set.begin(); it != set.end(); ++it) {
+            if (it->addr == line_addr) {
+                writeBack(*it);
+                set.erase(it);
+                return;
+            }
+        }
+    }
+
+    void
+    flushAll()
+    {
+        for (auto &[index, set] : lines_) {
+            for (Line &line : set)
+                writeBack(line);
+            set.clear();
+        }
+    }
+
+  private:
+    std::list<Line> &
+    set_(PhysAddr line_addr)
+    {
+        return lines_[(line_addr / kCacheLineSize) % sets_];
+    }
+
+    void
+    writeBack(const Line &line)
+    {
+        if (!line.dirty)
+            return;
+        dram[line.addr] = line.data;
+        writtenBack.push_back(line.addr);
+    }
+
+    std::size_t sets_;
+    std::size_t ways_;
+    std::map<std::size_t, std::list<Line>> lines_;
+};
+
+class CacheReference
+    : public ::testing::TestWithParam<std::pair<std::size_t, std::size_t>>
+{
+};
+
+TEST_P(CacheReference, MatchesANaiveLruModel)
+{
+    auto [sets, ways] = GetParam();
+    for (std::uint64_t seed : {1, 2, 3}) {
+        SCOPED_TRACE(::testing::Message() << "seed " << seed);
+        Rng rng(seed * 1000 + sets * 16 + ways);
+        CycleClock clock;
+        // Three lines per way of every set, so sets overflow often.
+        const std::size_t lines = sets * ways * 3;
+        PhysicalMemory memory(lines * kCacheLineSize);
+        MemoryController controller(memory, clock);
+        Cache cache(controller, clock, CacheConfig{sets, ways});
+        ReferenceCache model(sets, ways);
+
+        const int ops = 3000 + static_cast<int>(sets * ways) * 4;
+        for (int op = 0; op < ops; ++op) {
+            model.writtenBack.clear();
+            const std::uint64_t hits = cache.stats().get("hits");
+            const std::uint64_t misses = cache.stats().get("misses");
+            const std::uint64_t writebacks = cache.stats().get("writebacks");
+            const std::uint64_t model_hits = model.hits;
+            const std::uint64_t model_misses = model.misses;
+
+            PhysAddr line_addr = rng.range(0, lines - 1) * kCacheLineSize;
+            std::size_t offset = rng.range(0, kCacheLineSize - 1);
+            std::size_t size = rng.range(1, kCacheLineSize - offset);
+            std::uint64_t kind = rng.range(0, 99);
+            if (kind < 45) {
+                std::uint8_t got[kCacheLineSize];
+                ASSERT_TRUE(cache.read(line_addr + offset, got, size));
+                const LineData &want = model.touch(line_addr).data;
+                ASSERT_EQ(std::memcmp(got, want.data() + offset, size), 0)
+                    << "op " << op << " read " << line_addr + offset;
+            } else if (kind < 90) {
+                std::uint8_t bytes[kCacheLineSize];
+                for (std::size_t i = 0; i < size; ++i)
+                    bytes[i] = static_cast<std::uint8_t>(rng.next());
+                ASSERT_TRUE(cache.write(line_addr + offset, bytes, size));
+                ReferenceCache::Line &line = model.touch(line_addr);
+                std::memcpy(line.data.data() + offset, bytes, size);
+                line.dirty = true;
+            } else if (kind < 99) {
+                cache.flushLine(line_addr);
+                model.flushLine(line_addr);
+            } else {
+                cache.flushAll();
+                model.flushAll();
+            }
+
+            ASSERT_EQ(cache.stats().get("hits") - hits,
+                      model.hits - model_hits) << "op " << op;
+            ASSERT_EQ(cache.stats().get("misses") - misses,
+                      model.misses - model_misses) << "op " << op;
+            ASSERT_EQ(cache.stats().get("writebacks") - writebacks,
+                      model.writtenBack.size()) << "op " << op;
+            for (PhysAddr written : model.writtenBack) {
+                const LineData &want = model.dram[written];
+                for (std::size_t w = 0; w < kEccGroupsPerLine; ++w) {
+                    ASSERT_EQ(memory.readWord(written + w * kEccGroupSize),
+                              lineWord(want, w))
+                        << "op " << op << " line " << written;
+                }
+            }
+        }
+        cache.auditResidency();
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheReference,
+    ::testing::Values(std::make_pair<std::size_t, std::size_t>(1, 8),
+                      std::make_pair<std::size_t, std::size_t>(4, 2),
+                      std::make_pair<std::size_t, std::size_t>(256, 8)));
 
 INSTANTIATE_TEST_SUITE_P(
     Geometries, CacheGeometry,
