@@ -44,14 +44,20 @@
 #                           pre-geometry golden sweep, and the committed
 #                           BENCH_ecc_tradeoff.json reproduced byte for
 #                           byte
-#  13. notrace build      — library/tools compile with -DSAFEMEM_TRACE=OFF
-#  14. static analysis    — -Wthread-safety build (clang++), clang-tidy
+#  13. simcheck sweeps    — the full-size `all --tool purify` and
+#                           `all --tool safemem --buggy` sweeps exit 0
+#                           with and without --simcheck, and each pair
+#                           of reports is byte-identical: the audits,
+#                           the skipped-fill one among them, only
+#                           observe
+#  14. notrace build      — library/tools compile with -DSAFEMEM_TRACE=OFF
+#  15. static analysis    — -Wthread-safety build (clang++), clang-tidy
 #                           gauntlet, negative-compile proof; the
 #                           Clang-only pieces SKIP with a visible warning
 #                           on GCC-only hosts
-#  15. repo lint          — tools/lint/lint.py over the tree
-#  16. lint self-test     — tools/lint/lint.py --self-test
-#  17. format check       — scripts/check_format.sh (skips w/o clang-format)
+#  16. repo lint          — tools/lint/lint.py over the tree
+#  17. lint self-test     — tools/lint/lint.py --self-test
+#  18. format check       — scripts/check_format.sh (skips w/o clang-format)
 #
 # Every stage runs even when an earlier one fails; the exit status is
 # non-zero if any stage failed.
@@ -513,6 +519,32 @@ print(f"tradeoff smoke: {len(doc['cells'])} cells, overhead ordering "
 PYEOF
 }
 
+simcheck_sweeps() {
+    # The goldens run short sweeps; these run the audits over the
+    # full-size heap scans and watch traffic (millions of fills).
+    local status=0
+    local args
+    for args in "--tool purify" "--tool safemem --buggy"; do
+        local name=${args//[^a-z]/}
+        local plain=build/simcheck_$name.txt
+        local audited=build/simcheck_${name}_audited.txt
+        # shellcheck disable=SC2086 # args holds several words
+        build/tools/safemem_run all $args --stats --workers 0 \
+            >"$plain" || status=1
+        # shellcheck disable=SC2086
+        build/tools/safemem_run all $args --stats --workers 0 --simcheck \
+            >"$audited" || status=1
+        if cmp -s "$plain" "$audited"; then
+            echo "simcheck sweeps: all $args identical under --simcheck"
+        else
+            echo "simcheck sweeps: all $args moved under --simcheck:"
+            diff "$plain" "$audited" | head -20
+            status=1
+        fi
+    done
+    return "$status"
+}
+
 notrace_build() {
     # The compiled-out configuration must still build everything; the
     # suite itself runs in the default (traced) configurations above.
@@ -572,6 +604,8 @@ stage "multiproc smoke (--procs 2, serial vs parallel)" multiproc_smoke
 stage "fleet smoke (bench_fleet sampled sweep + committed JSON)" fleet_smoke
 stage "tradeoff smoke (bench_ecc_tradeoff + word golden + committed JSON)" \
     tradeoff_smoke
+stage "simcheck sweeps (full-size sweeps, audited vs plain)" \
+    simcheck_sweeps
 stage "notrace build (-DSAFEMEM_TRACE=OFF)" notrace_build
 stage "static-analysis gauntlet" static_analysis
 stage "repo lint" python3 tools/lint/lint.py --root .
