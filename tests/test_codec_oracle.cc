@@ -22,6 +22,7 @@
 
 #include "common/random.h"
 #include "ecc/codec.h"
+#include "tests/pass_through_codec.h"
 
 namespace safemem {
 namespace {
@@ -211,34 +212,6 @@ TEST_P(CodecOracle, DecodeMatchesTheNaiveClassifier)
     for (int i = 0; i < 20000; ++i)
         ASSERT_TRUE(sameVerdict(rng.next(), rng.next() & ((1ULL << k) - 1)));
 }
-
-/** Forwards everything but allClean(), so calls take the base-class
- *  default — the path of any wrapper codec, such as a timing shim. */
-class PassThroughCodec final : public EccCodec
-{
-  public:
-    explicit PassThroughCodec(const EccCodec &inner) : inner_(inner) {}
-
-    const char *name() const override { return inner_.name(); }
-    int dataBits() const override { return inner_.dataBits(); }
-    int checkBits() const override { return inner_.checkBits(); }
-    std::uint64_t encode(std::uint64_t data) const override
-    {
-        return inner_.encode(data);
-    }
-    EccDecodeResult decode(std::uint64_t data,
-                           std::uint64_t check) const override
-    {
-        return inner_.decode(data, check);
-    }
-    std::uint64_t column(int bit) const override
-    {
-        return inner_.column(bit);
-    }
-
-  private:
-    const EccCodec &inner_;
-};
 
 TEST_P(CodecOracle, AllCleanMatchesPerWordDecode)
 {
