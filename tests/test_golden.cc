@@ -49,5 +49,20 @@ TEST(Golden, PageProtSweepMatchesCapture)
               readGolden("golden_pageprot_sweep.txt"));
 }
 
+TEST(Golden, BlockGeometrySweepMatchesCapture)
+{
+    // Every app under SafeMem on bug-triggering inputs with 1 KiB ECC
+    // codewords: EDC passes and misses on fills, whole-codeword
+    // decodes, latent fault words, the EDC fold and read-modify-write
+    // of each writeback, and the watch faults the long-code decode
+    // raises, pinned byte for byte.
+    CliParse parse = parseCliArguments({"all", "--tool", "safemem",
+                                        "--buggy", "--stats", "--geometry",
+                                        "block:1024", "--workers", "0"});
+    ASSERT_TRUE(parse.options.has_value());
+    EXPECT_EQ(runCli(*parse.options).report,
+              readGolden("golden_block1024_sweep.txt"));
+}
+
 } // namespace
 } // namespace safemem
