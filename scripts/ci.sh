@@ -44,12 +44,14 @@
 #                           pre-geometry golden sweep, and the committed
 #                           BENCH_ecc_tradeoff.json reproduced byte for
 #                           byte
-#  13. simcheck sweeps    — the full-size `all --tool purify` and
-#                           `all --tool safemem --buggy` sweeps exit 0
-#                           with and without --simcheck, and each pair
-#                           of reports is byte-identical: the audits,
-#                           the skipped-fill one among them, only
-#                           observe
+#  13. simcheck sweeps    — the full-size `all --tool purify`,
+#                           `all --tool safemem --buggy` and
+#                           `all --tool safemem --buggy --geometry
+#                           block:1024` sweeps exit 0 with and without
+#                           --simcheck, and each pair of reports is
+#                           byte-identical: the audits, the skipped-fill
+#                           one and the block datapath's among them,
+#                           only observe
 #  14. notrace build      — library/tools compile with -DSAFEMEM_TRACE=OFF
 #  15. static analysis    — -Wthread-safety build (clang++), clang-tidy
 #                           gauntlet, negative-compile proof; the
@@ -521,10 +523,13 @@ PYEOF
 
 simcheck_sweeps() {
     # The goldens run short sweeps; these run the audits over the
-    # full-size heap scans and watch traffic (millions of fills).
+    # full-size heap scans and watch traffic (millions of fills), and
+    # over the block geometry's EDC fills, whole-codeword decodes and
+    # EDC folds on writeback.
     local status=0
     local args
-    for args in "--tool purify" "--tool safemem --buggy"; do
+    for args in "--tool purify" "--tool safemem --buggy" \
+                "--tool safemem --buggy --geometry block:1024"; do
         local name=${args//[^a-z]/}
         local plain=build/simcheck_$name.txt
         local audited=build/simcheck_${name}_audited.txt

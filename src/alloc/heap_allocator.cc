@@ -87,7 +87,6 @@ HeapAllocator::allocate(std::size_t size, std::size_t alignment)
     block.slabBacked = slab_backed;
 
     liveBytes_ += size;
-    peakLiveBytes_ = std::max(peakLiveBytes_, liveBytes_);
     noteMutation();
     return addr;
 }
@@ -129,7 +128,6 @@ HeapAllocator::reallocate(VirtAddr addr, std::size_t new_size,
         // Fits in place; adjust the accounted size.
         liveBytes_ += new_size;
         liveBytes_ -= old_size;
-        peakLiveBytes_ = std::max(peakLiveBytes_, liveBytes_);
         it->second.requested = new_size;
         noteMutation();
         return addr;
@@ -141,16 +139,6 @@ HeapAllocator::reallocate(VirtAddr addr, std::size_t new_size,
     machine_.write(fresh, buffer.data(), buffer.size());
     deallocate(addr);
     return fresh;
-}
-
-VirtAddr
-HeapAllocator::allocateZeroed(std::size_t count, std::size_t size)
-{
-    std::size_t bytes = count * size;
-    VirtAddr addr = allocate(bytes);
-    std::vector<std::uint8_t> zeros(bytes, 0);
-    machine_.write(addr, zeros.data(), zeros.size());
-    return addr;
 }
 
 std::size_t
@@ -185,30 +173,6 @@ HeapAllocator::isSlabBacked(VirtAddr addr) const
     if (it == blocks_.end())
         panic("HeapAllocator: isSlabBacked of unknown address ", addr);
     return it->second.slabBacked;
-}
-
-VirtAddr
-HeapAllocator::findBlock(VirtAddr addr) const
-{
-    auto it = blocks_.upper_bound(addr);
-    if (it == blocks_.begin())
-        return 0;
-    --it;
-    if (!it->second.live)
-        return 0;
-    if (addr < it->first + it->second.requested)
-        return it->first;
-    return 0;
-}
-
-void
-HeapAllocator::forEachLive(
-    const std::function<void(VirtAddr, std::size_t)> &fn) const
-{
-    for (const auto &[addr, block] : blocks_) {
-        if (block.live)
-            fn(addr, block.requested);
-    }
 }
 
 void

@@ -19,7 +19,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <map>
 #include <unordered_map>
 #include <vector>
@@ -77,9 +76,6 @@ class HeapAllocator
     VirtAddr reallocate(VirtAddr addr, std::size_t new_size,
                         std::size_t alignment = kDefaultAlignment);
 
-    /** calloc analog: allocate and zero @p count * @p size bytes. */
-    VirtAddr allocateZeroed(std::size_t count, std::size_t size);
-
     /** @return the requested size of live block @p addr. */
     std::size_t blockSize(VirtAddr addr) const;
 
@@ -96,21 +92,8 @@ class HeapAllocator
      */
     bool isSlabBacked(VirtAddr addr) const;
 
-    /**
-     * @return the base of the live block containing @p addr, or 0 when
-     * @p addr points into no live block. Used by Purify's checker.
-     */
-    VirtAddr findBlock(VirtAddr addr) const;
-
-    /** Visit every live block as (base, requested_size). */
-    void forEachLive(
-        const std::function<void(VirtAddr, std::size_t)> &fn) const;
-
     /** @return bytes currently live (sum of requested sizes). */
     std::uint64_t liveBytes() const { return liveBytes_; }
-
-    /** @return high-water mark of liveBytes(). */
-    std::uint64_t peakLiveBytes() const { return peakLiveBytes_; }
 
     /** @return allocator statistics. */
     const StatSet &stats() const { return stats_; }
@@ -160,11 +143,10 @@ class HeapAllocator
     Machine &machine_;
     /** Free chunks per size class (key = chunk size). */
     std::unordered_map<std::size_t, std::vector<VirtAddr>> freeLists_;
-    /** All known blocks, live and freed, ordered for containment search. */
+    /** All known blocks, live and freed, ordered by base address. */
     std::map<VirtAddr, Block> blocks_;
 
     std::uint64_t liveBytes_ = 0;
-    std::uint64_t peakLiveBytes_ = 0;
     std::uint32_t mutationsSinceAudit_ = 0;
     StatSet stats_{kAllocStatNames};
 };

@@ -18,7 +18,7 @@ Cache::Cache(MemoryController &controller, CycleClock &clock,
     tags_.assign(slots, kInvalidTag);
     lastUse_.assign(slots, 0);
     state_.assign(slots, WayState{});
-    data_.assign(slots, LineData{});
+    data_.assign(slots, LineWords{});
 }
 
 std::size_t
@@ -80,7 +80,7 @@ Cache::readMiss(PhysAddr line_addr, PhysAddr addr, void *out, std::size_t size)
     std::size_t slot = fillLine(line_addr);
     if (slot == kNoSlot)
         return false;
-    std::memcpy(out, data_[slot].data() + (addr - line_addr), size);
+    std::memcpy(out, bytes(slot) + (addr - line_addr), size);
     return true;
 }
 
@@ -93,39 +93,24 @@ Cache::writeMiss(PhysAddr line_addr, PhysAddr addr, const void *in,
     std::size_t slot = fillLine(line_addr);
     if (slot == kNoSlot)
         return false;
-    std::memcpy(data_[slot].data() + (addr - line_addr), in, size);
+    std::memcpy(bytes(slot) + (addr - line_addr), in, size);
     state_[slot].dirty = true;
     return true;
 }
 
 std::size_t
-Cache::readBlock(PhysAddr addr, void *out, std::size_t size)
+Cache::accessBlock(PhysAddr addr, void *buffer, std::size_t size,
+                   bool is_write)
 {
-    auto *cursor = static_cast<std::uint8_t *>(out);
+    auto *cursor = static_cast<std::uint8_t *>(buffer);
     std::size_t done = 0;
     while (done < size) {
         PhysAddr line_end =
             alignDown(addr + done, kCacheLineSize) + kCacheLineSize;
         std::size_t chunk =
             std::min<std::size_t>(size - done, line_end - (addr + done));
-        if (!read(addr + done, cursor + done, chunk))
-            break;
-        done += chunk;
-    }
-    return done;
-}
-
-std::size_t
-Cache::writeBlock(PhysAddr addr, const void *in, std::size_t size)
-{
-    const auto *cursor = static_cast<const std::uint8_t *>(in);
-    std::size_t done = 0;
-    while (done < size) {
-        PhysAddr line_end =
-            alignDown(addr + done, kCacheLineSize) + kCacheLineSize;
-        std::size_t chunk =
-            std::min<std::size_t>(size - done, line_end - (addr + done));
-        if (!write(addr + done, cursor + done, chunk))
+        if (!(is_write ? write(addr + done, cursor + done, chunk)
+                       : read(addr + done, cursor + done, chunk)))
             break;
         done += chunk;
     }

@@ -91,7 +91,7 @@ class Cache
         std::size_t slot = lookup(line_addr);
         if (slot != kNoSlot) {
             touchHit(slot);
-            std::memcpy(out, data_[slot].data() + (addr - line_addr), size);
+            std::memcpy(out, bytes(slot) + (addr - line_addr), size);
             return true;
         }
         return readMiss(line_addr, addr, out, size);
@@ -107,7 +107,7 @@ class Cache
         std::size_t slot = lookup(line_addr);
         if (slot != kNoSlot) {
             touchHit(slot);
-            std::memcpy(data_[slot].data() + (addr - line_addr), in, size);
+            std::memcpy(bytes(slot) + (addr - line_addr), in, size);
             state_[slot].dirty = true;
             return true;
         }
@@ -132,19 +132,19 @@ class Cache
         stats_.add(CacheStat::Hits, count);
         useCounter_ += count;
         lastUse_[slot] = useCounter_;
-        std::memcpy(out, data_[slot].data() + (addr - line_addr), count * 8);
+        std::memcpy(out, bytes(slot) + (addr - line_addr), count * 8);
     }
 
     /**
-     * Read a span that may cross line boundaries, touching each line once.
+     * Read (@p is_write false) or write @p size bytes of @p buffer at
+     * @p addr, a span that may cross line boundaries, touching each
+     * line once.
      * @return bytes copied before a faulted fill stopped the span (equal
      *         to @p size when no fill faulted). The caller retries from
      *         @p addr + the returned count after the handler has run.
      */
-    std::size_t readBlock(PhysAddr addr, void *out, std::size_t size);
-
-    /** Write counterpart of readBlock(). */
-    std::size_t writeBlock(PhysAddr addr, const void *in, std::size_t size);
+    std::size_t accessBlock(PhysAddr addr, void *buffer, std::size_t size,
+                            bool is_write);
 
     /**
      * Write back (if dirty) and invalidate the line at @p line_addr.
@@ -210,6 +210,14 @@ class Cache
         return kNoSlot;
     }
 
+    /** @return the line in @p slot as bytes, in memory order: the view
+     *  every byte-offset copy into or out of a way goes through. */
+    std::uint8_t *
+    bytes(std::size_t slot)
+    {
+        return reinterpret_cast<std::uint8_t *>(data_[slot].data());
+    }
+
     /** Hit bookkeeping: latency, counter, LRU stamp. */
     void
     touchHit(std::size_t slot)
@@ -248,7 +256,7 @@ class Cache
     std::vector<PhysAddr> tags_;
     std::vector<std::uint64_t> lastUse_;
     std::vector<WayState> state_;
-    std::vector<LineData> data_;
+    std::vector<LineWords> data_;
     std::uint64_t useCounter_ = 0;
     std::uint32_t currentPid_ = 0;
     StatSet stats_{kCacheStatNames};

@@ -16,13 +16,6 @@ auditDomainName(AuditDomain domain)
     return "?";
 }
 
-SimCheck &
-SimCheck::instance()
-{
-    static SimCheck auditor;
-    return auditor;
-}
-
 void
 SimCheck::report(AuditDomain domain, const char *invariant,
                  const std::string &detail)

@@ -62,8 +62,15 @@ struct AuditViolation
 class SimCheck
 {
   public:
-    /** @return the process-wide auditor. */
-    static SimCheck &instance();
+    /** @return the process-wide auditor. Defined here so that, while
+     *  auditing is off, simCheckActive() and every SIMCHECK_AUDIT are
+     *  inline loads and a branch, with no call. */
+    static SimCheck &
+    instance()
+    {
+        static SimCheck auditor;
+        return auditor;
+    }
 
     /** Master switch; all SIMCHECK_AUDIT hooks no-op while disabled. */
     void

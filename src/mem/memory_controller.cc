@@ -1,7 +1,5 @@
 #include "mem/memory_controller.h"
 
-#include <cstring>
-
 #include "check/simcheck.h"
 #include "common/costs.h"
 #include "common/logging.h"
@@ -77,8 +75,15 @@ MemoryController::unlockBus()
 }
 
 void
-MemoryController::raise(const EccFaultInfo &info)
+MemoryController::raise(EccFaultKind kind, PhysAddr word_addr,
+                        std::uint64_t data)
 {
+    EccFaultInfo info;
+    info.kind = kind;
+    info.lineAddr = alignDown(word_addr, kCacheLineSize);
+    info.wordIndex =
+        static_cast<int>((word_addr % kCacheLineSize) / kEccGroupSize);
+    info.rawData = data;
     stats_.add(ControllerStat::InterruptsRaised);
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerInterrupt, clock_.now(),
                        info.lineAddr,
@@ -111,61 +116,47 @@ MemoryController::decodeWord(PhysAddr word_addr, bool scrubbing,
         if (mode_ == EccMode::CheckOnly) {
             // Check-Only mode detects and reports but never corrects.
             stats_.add(ControllerStat::SingleBitReported);
-            EccFaultInfo info;
-            info.kind = EccFaultKind::UnreportedSingle;
-            info.lineAddr = alignDown(word_addr, kCacheLineSize);
-            info.wordIndex = static_cast<int>(
-                (word_addr % kCacheLineSize) / kEccGroupSize);
-            info.rawData = data;
-            if (!geometry_.isWord())
-                info.codewordAddr =
-                    alignDown(word_addr, geometry_.codewordBytes);
-            raise(info);
+            raise(EccFaultKind::UnreportedSingle, word_addr, data);
             return true;
         }
         // Correct transparently and heal the stored copy.
-        stats_.add(ControllerStat::SingleBitCorrected);
-        SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerSingleBitCorrected,
-                           clock_.now(), word_addr);
-        memory_.writeWord(word_addr, result.data);
-        memory_.writeCheck(word_addr, static_cast<std::uint8_t>(
-                                          code_.encode(result.data)));
+        heal(word_addr, result.data);
         data_out = result.data;
-        // The corrected word just written back must form a clean codeword;
-        // anything else means the correct/heal datapath is broken.
-        SIMCHECK_AUDIT(AuditDomain::MemoryController, "fill_reencode_clean",
-                       code_.decode(memory_.readWord(word_addr),
-                                    memory_.readCheck(word_addr)).status ==
-                           EccDecodeStatus::Ok,
-                       "healed word at ", word_addr,
-                       " does not re-decode clean");
         return true;
 
-      case EccDecodeStatus::Uncorrectable: {
+      case EccDecodeStatus::Uncorrectable:
         stats_.add(ControllerStat::MultiBitDetected);
-        EccFaultInfo info;
-        info.kind = scrubbing ? EccFaultKind::ScrubMultiBit
-                              : EccFaultKind::MultiBit;
-        info.lineAddr = alignDown(word_addr, kCacheLineSize);
-        info.wordIndex = static_cast<int>(
-            (word_addr % kCacheLineSize) / kEccGroupSize);
-        info.rawData = data;
-        if (!geometry_.isWord())
-            info.codewordAddr = alignDown(word_addr, geometry_.codewordBytes);
-        raise(info);
+        raise(scrubbing ? EccFaultKind::ScrubMultiBit
+                        : EccFaultKind::MultiBit,
+              word_addr, data);
         return false;
-      }
     }
     return true;
+}
+
+void
+MemoryController::heal(PhysAddr word_addr, std::uint64_t data)
+{
+    stats_.add(ControllerStat::SingleBitCorrected);
+    SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerSingleBitCorrected,
+                       clock_.now(), word_addr);
+    memory_.writeWord(word_addr, data);
+    memory_.writeCheck(word_addr,
+                       static_cast<std::uint8_t>(code_.encode(data)));
+    // The corrected word just written back must form a clean codeword;
+    // anything else means the correct/heal datapath is broken.
+    SIMCHECK_AUDIT(AuditDomain::MemoryController, "fill_reencode_clean",
+                   code_.decode(memory_.readWord(word_addr),
+                                memory_.readCheck(word_addr)).status ==
+                       EccDecodeStatus::Ok,
+                   "healed word at ", word_addr, " does not re-decode clean");
 }
 
 std::uint64_t
 MemoryController::storedLineFold(PhysAddr line_addr) const
 {
-    std::uint64_t words[kEccGroupsPerLine];
-    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-        words[i] = memory_.readWord(line_addr + i * kEccGroupSize);
-    return edcLineFold(geometry_.edc, words, kEccGroupsPerLine);
+    return edcLineFold(geometry_.edc, peekLine(line_addr).data(),
+                       kEccGroupsPerLine);
 }
 
 bool
@@ -194,18 +185,7 @@ MemoryController::latentDecodeWord(PhysAddr word_addr)
             // an EDC refresh. Nothing is raised either — reporting is
             // for demanded reads, and nobody demanded this word.
             return false;
-        stats_.add(ControllerStat::SingleBitCorrected);
-        SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerSingleBitCorrected,
-                           clock_.now(), word_addr);
-        memory_.writeWord(word_addr, result.data);
-        memory_.writeCheck(word_addr, static_cast<std::uint8_t>(
-                                          code_.encode(result.data)));
-        SIMCHECK_AUDIT(AuditDomain::MemoryController, "fill_reencode_clean",
-                       code_.decode(memory_.readWord(word_addr),
-                                    memory_.readCheck(word_addr)).status ==
-                           EccDecodeStatus::Ok,
-                       "healed word at ", word_addr,
-                       " does not re-decode clean");
+        heal(word_addr, result.data);
         return true;
 
       case EccDecodeStatus::Uncorrectable:
@@ -221,7 +201,7 @@ MemoryController::latentDecodeWord(PhysAddr word_addr)
 
 bool
 MemoryController::blockDecode(PhysAddr line_addr, bool scrubbing,
-                              LineData *out)
+                              LineWords *out)
 {
     const PhysAddr cw = alignDown(line_addr, geometry_.codewordBytes);
     const std::size_t cw_lines = geometry_.codewordBytes / kCacheLineSize;
@@ -256,7 +236,7 @@ MemoryController::blockDecode(PhysAddr line_addr, bool scrubbing,
                     clean = false;
                 }
                 if (out)
-                    setLineWord(*out, i, word);
+                    (*out)[i] = word;
             } else if (!latentDecodeWord(word_addr)) {
                 clean = false;
             }
@@ -280,7 +260,7 @@ MemoryController::blockDecode(PhysAddr line_addr, bool scrubbing,
 }
 
 bool
-MemoryController::fillLine(PhysAddr line_addr, LineData &out)
+MemoryController::fillLine(PhysAddr line_addr, LineWords &out)
 {
     if (!isAligned(line_addr, kCacheLineSize))
         panic("MemoryController: unaligned fill address ", line_addr);
@@ -302,7 +282,7 @@ MemoryController::fillLine(PhysAddr line_addr, LineData &out)
         // whole is the fill; any other line decodes word by word, so
         // corrections, CheckOnly reports and interrupts keep their
         // order.
-        std::uint64_t words[kEccGroupsPerLine];
+        LineWords words;
         std::uint8_t checks[kEccGroupsPerLine];
         if (mode_ == EccMode::Disabled) {
             memory_.readLine(line_addr, words, nullptr);
@@ -314,14 +294,14 @@ MemoryController::fillLine(PhysAddr line_addr, LineData &out)
             if (audit) {
                 SIMCHECK_AUDIT(
                     AuditDomain::MemoryController, "encoded_line_clean",
-                    code_.allClean(words, checks, kEccGroupsPerLine),
+                    code_.allClean(words.data(), checks, kEccGroupsPerLine),
                     "line ", line_addr,
                     " is tagged with this controller's encode but does not"
                     " decode clean");
             }
         } else {
             memory_.readLine(line_addr, words, checks);
-            if (!code_.allClean(words, checks, kEccGroupsPerLine)) {
+            if (!code_.allClean(words.data(), checks, kEccGroupsPerLine)) {
                 for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
                     if (!decodeWord(line_addr + i * kEccGroupSize, false,
                                     words[i]))
@@ -332,7 +312,7 @@ MemoryController::fillLine(PhysAddr line_addr, LineData &out)
         // A failed fill leaves @p out alone: the handler that just ran
         // may have refilled the very cache slot it points at.
         if (ok)
-            std::memcpy(out.data(), words, kCacheLineSize);
+            out = words;
     } else {
         // Block geometry: verify the line's EDC fold that rode in with
         // the burst; only an EDC miss pays the long-code decode.
@@ -345,14 +325,12 @@ MemoryController::fillLine(PhysAddr line_addr, LineData &out)
             geomStats_.add(GeometryStat::EdcChecksPassed);
             SAFEMEM_TRACE_EMIT(trace_, TraceEvent::EdcCheckPass,
                                clock_.now(), line_addr, cw);
-            for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-                setLineWord(out, i,
-                            memory_.readWord(line_addr + i * kEccGroupSize));
+            out = peekLine(line_addr);
         } else {
             geomStats_.add(GeometryStat::EdcChecksFailed);
             SAFEMEM_TRACE_EMIT(trace_, TraceEvent::EdcCheckFail,
                                clock_.now(), line_addr, cw);
-            LineData decoded;
+            LineWords decoded;
             ok = blockDecode(line_addr, false, &decoded);
             if (ok)
                 out = decoded;
@@ -364,7 +342,7 @@ MemoryController::fillLine(PhysAddr line_addr, LineData &out)
 }
 
 void
-MemoryController::evictLine(PhysAddr line_addr, const LineData &data)
+MemoryController::evictLine(PhysAddr line_addr, const LineWords &words)
 {
     if (!isAligned(line_addr, kCacheLineSize))
         panic("MemoryController: unaligned eviction address ", line_addr);
@@ -379,10 +357,7 @@ MemoryController::evictLine(PhysAddr line_addr, const LineData &data)
     SAFEMEM_TRACE_EMIT(trace_, TraceEvent::ControllerEvict, clock_.now(),
                        line_addr);
 
-    std::uint64_t words[kEccGroupsPerLine];
-    for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-        words[i] = lineWord(data, i);
-    storeLine(line_addr, words);
+    writeLineDeviceOp(line_addr, words);
 
     if (!geometry_.isWord() && mode_ != EccMode::Disabled) {
         // The EDC fold rides with the burst and covers exactly this
@@ -390,7 +365,7 @@ MemoryController::evictLine(PhysAddr line_addr, const LineData &data)
         // (With ECC Disabled it goes stale alongside the check bytes —
         // the hook the scramble trick relies on.)
         memory_.writeEdc(line_addr,
-                         edcLineFold(geometry_.edc, words,
+                         edcLineFold(geometry_.edc, words.data(),
                                      kEccGroupsPerLine));
         geomStats_.add(GeometryStat::DataBytesWritten, kCacheLineSize);
         geomStats_.add(GeometryStat::RedundancyBytesWritten,
@@ -419,12 +394,12 @@ MemoryController::evictLine(PhysAddr line_addr, const LineData &data)
     }
 
     if (simCheckActive())
-        auditWritebackCoherence(line_addr, data);
+        auditWritebackCoherence(line_addr, words);
 }
 
 void
 MemoryController::auditWritebackCoherence(PhysAddr line_addr,
-                                          const LineData &data) const
+                                          const LineWords &words) const
 {
     // The line the cache just wrote back must read back verbatim and (with
     // ECC on) decode clean — a mismatch means the writeback datapath lost
@@ -434,7 +409,7 @@ MemoryController::auditWritebackCoherence(PhysAddr line_addr,
         PhysAddr word_addr = line_addr + i * kEccGroupSize;
         std::uint64_t stored = memory_.readWord(word_addr);
         SIMCHECK_AUDIT(AuditDomain::MemoryController, "writeback_data_match",
-                       stored == lineWord(data, i),
+                       stored == words[i],
                        "word ", i, " of line ", line_addr,
                        " differs from the written-back data");
         if (mode_ != EccMode::Disabled) {
@@ -455,7 +430,7 @@ MemoryController::auditWritebackCoherence(PhysAddr line_addr,
 }
 
 void
-MemoryController::storeLine(PhysAddr line_addr, const std::uint64_t *words)
+MemoryController::writeLineDeviceOp(PhysAddr line_addr, const LineWords &words)
 {
     if (mode_ == EccMode::Disabled) {
         memory_.writeLine(line_addr, words);
@@ -467,17 +442,11 @@ MemoryController::storeLine(PhysAddr line_addr, const std::uint64_t *words)
     memory_.writeEncodedLine(line_addr, words, checks, encoder_);
 }
 
-void
-MemoryController::writeLineDeviceOp(PhysAddr line_addr, const LineWords &words)
-{
-    storeLine(line_addr, words.data());
-}
-
 LineWords
 MemoryController::peekLine(PhysAddr line_addr) const
 {
     LineWords words;
-    memory_.readLine(line_addr, words.data(), nullptr);
+    memory_.readLine(line_addr, words, nullptr);
     return words;
 }
 

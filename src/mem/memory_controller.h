@@ -167,16 +167,18 @@ class MemoryController
      *         interrupt handler has already run by then and the caller is
      *         expected to retry the fill.
      */
-    bool fillLine(PhysAddr line_addr, LineData &out);
+    bool fillLine(PhysAddr line_addr, LineWords &out);
 
-    /** Cache-initiated writeback; encodes check bytes per current mode. */
-    void evictLine(PhysAddr line_addr, const LineData &data);
+    /** Cache-initiated writeback: stores @p words through
+     *  writeLineDeviceOp(), then (block geometries) their EDC fold. */
+    void evictLine(PhysAddr line_addr, const LineWords &words);
 
     /**
-     * Device-initiated write of the whole line at line-aligned
-     * @p line_addr, honouring the current mode: with ECC Disabled the
-     * stored check bytes are left untouched, otherwise every word is
-     * encoded afresh. Charges no cycles and leaves any EDC fold as is.
+     * Store the whole line at line-aligned @p line_addr by the
+     * controller's one rule: with ECC Disabled the stored check bytes
+     * are left untouched, otherwise every word is encoded afresh.
+     * Charges no cycles and leaves any EDC fold as is. Device writes
+     * (scramble, swap-in, watch restore) call it directly.
      */
     void writeLineDeviceOp(PhysAddr line_addr, const LineWords &words);
 
@@ -236,7 +238,7 @@ class MemoryController
      * @param out receives the requested line when non-null.
      * @return false when a word of the requested line was uncorrectable.
      */
-    bool blockDecode(PhysAddr line_addr, bool scrubbing, LineData *out);
+    bool blockDecode(PhysAddr line_addr, bool scrubbing, LineWords *out);
 
     /** decodeWord for codeword words outside the requested line: heals
      *  singles in correcting modes, counts uncorrectable words as
@@ -244,22 +246,22 @@ class MemoryController
      *  up clean. */
     bool latentDecodeWord(PhysAddr word_addr);
 
+    /** Heal a corrected single-bit error: store @p data and its fresh
+     *  check byte at @p word_addr, and audit that they decode clean. */
+    void heal(PhysAddr word_addr, std::uint64_t data);
+
     /** Scrub one line: per-word decode on the word default; EDC
      *  fast-check with decode-on-miss under a block geometry. */
     void scrubLine(PhysAddr line_addr);
 
-    /** Store the line at line-aligned @p line_addr by the one per-word
-     *  rule of evictLine() and writeLineDeviceOp(): each check byte
-     *  encoded afresh from its word, or left as stored while ECC is
-     *  Disabled. Charges nothing and leaves any EDC fold as is. */
-    void storeLine(PhysAddr line_addr, const std::uint64_t *words);
-
     /** SimCheck: written-back line must read back verbatim and decode
      *  clean (run only while auditing is enabled). */
     void auditWritebackCoherence(PhysAddr line_addr,
-                                 const LineData &data) const;
+                                 const LineWords &words) const;
 
-    void raise(const EccFaultInfo &info);
+    /** Raise a @p kind interrupt for the word at @p word_addr, whose
+     *  stored data is @p data. */
+    void raise(EccFaultKind kind, PhysAddr word_addr, std::uint64_t data);
 
     PhysicalMemory &memory_;
     CycleClock &clock_;

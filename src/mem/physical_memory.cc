@@ -100,7 +100,7 @@ PhysicalMemory::readCheck(PhysAddr addr) const
 }
 
 std::size_t
-PhysicalMemory::lineWordIndex(PhysAddr line_addr) const
+PhysicalMemory::firstWordIndex(PhysAddr line_addr) const
 {
     if (!isAligned(line_addr, kCacheLineSize))
         panic("PhysicalMemory: unaligned line address ", line_addr);
@@ -110,10 +110,10 @@ PhysicalMemory::lineWordIndex(PhysAddr line_addr) const
 }
 
 void
-PhysicalMemory::readLine(PhysAddr line_addr, std::uint64_t *words,
+PhysicalMemory::readLine(PhysAddr line_addr, LineWords &words,
                          std::uint8_t *checks) const
 {
-    std::size_t first = lineWordIndex(line_addr);
+    std::size_t first = firstWordIndex(line_addr);
     for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
         words[i] = words_[first + i];
     if (checks) {
@@ -123,21 +123,20 @@ PhysicalMemory::readLine(PhysAddr line_addr, std::uint64_t *words,
 }
 
 void
-PhysicalMemory::writeLine(PhysAddr line_addr, const std::uint64_t *words)
+PhysicalMemory::writeLine(PhysAddr line_addr, const LineWords &words)
 {
-    std::size_t first = lineWordIndex(line_addr);
+    std::size_t first = firstWordIndex(line_addr);
     for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
         words_[first + i] = words[i];
     clearTag(line_addr);
 }
 
 void
-PhysicalMemory::writeEncodedLine(PhysAddr line_addr,
-                                 const std::uint64_t *words,
+PhysicalMemory::writeEncodedLine(PhysAddr line_addr, const LineWords &words,
                                  const std::uint8_t *checks,
                                  std::uint8_t encoder)
 {
-    std::size_t first = lineWordIndex(line_addr);
+    std::size_t first = firstWordIndex(line_addr);
     for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {
         words_[first + i] = words[i];
         checks_[first + i] = checks[i];
@@ -148,7 +147,7 @@ PhysicalMemory::writeEncodedLine(PhysAddr line_addr,
 bool
 PhysicalMemory::encodedBy(PhysAddr line_addr, std::uint8_t encoder) const
 {
-    std::uint8_t tag = tags_[lineWordIndex(line_addr) / kEccGroupsPerLine];
+    std::uint8_t tag = tags_[firstWordIndex(line_addr) / kEccGroupsPerLine];
     return tag == kZeroFilled || (tag == encoder && tag != kNoEncoder);
 }
 

@@ -27,6 +27,7 @@
 
 #include "common/types.h"
 #include "ecc/geometry.h"
+#include "mem/line.h"
 
 namespace safemem {
 
@@ -89,21 +90,20 @@ class PhysicalMemory
     /** @return the stored check byte for the word at @p addr. */
     std::uint8_t readCheck(PhysAddr addr) const;
 
-    /** Copy the kEccGroupsPerLine data words and check bytes of the
-     *  line at line-aligned @p line_addr into @p words and @p checks
-     *  (a null @p checks skips the check bytes). */
-    void readLine(PhysAddr line_addr, std::uint64_t *words,
+    /** Copy the data words and check bytes of the line at line-aligned
+     *  @p line_addr into @p words and @p checks (a null @p checks skips
+     *  the check bytes). */
+    void readLine(PhysAddr line_addr, LineWords &words,
                   std::uint8_t *checks) const;
 
-    /** Store the kEccGroupsPerLine words at @p words into the line at
-     *  line-aligned @p line_addr, leaving the stored check bytes as
-     *  they are. */
-    void writeLine(PhysAddr line_addr, const std::uint64_t *words);
+    /** Store @p words into the line at line-aligned @p line_addr,
+     *  leaving the stored check bytes as they are. */
+    void writeLine(PhysAddr line_addr, const LineWords &words);
 
     /** Store the line's words and the check bytes at @p checks, which
      *  must be encoder @p encoder's encode of them: the one store after
      *  which encodedBy(line_addr, encoder) holds. */
-    void writeEncodedLine(PhysAddr line_addr, const std::uint64_t *words,
+    void writeEncodedLine(PhysAddr line_addr, const LineWords &words,
                           const std::uint8_t *checks, std::uint8_t encoder);
 
     /** Overwrite the stored check byte for the word at @p addr. */
@@ -173,7 +173,7 @@ class PhysicalMemory
     std::size_t wordIndex(PhysAddr addr) const;
     /** @return the word index of the first word of the line at
      *  @p line_addr (which must be line aligned). */
-    std::size_t lineWordIndex(PhysAddr line_addr) const;
+    std::size_t firstWordIndex(PhysAddr line_addr) const;
     std::size_t lineIndex(PhysAddr addr) const;
 
     std::size_t bytes_;

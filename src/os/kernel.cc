@@ -403,7 +403,7 @@ Kernel::watchMemory(VirtAddr addr, std::size_t size)
         forEachLine(
             pages, addr, size,
             [&](const PageTableEntry &, VirtAddr, PhysAddr pline) {
-                std::uint64_t words[kEccGroupsPerLine];
+                LineWords words;
                 std::uint8_t checks[kEccGroupsPerLine];
                 memory.readLine(pline, words, checks);
                 for (std::size_t i = 0; i < kEccGroupsPerLine; ++i) {

@@ -101,9 +101,7 @@ Machine::accessSpan(VirtAddr addr, void *buffer, std::size_t size,
     int attempts = 0;
     while (true) {
         PhysAddr paddr = kernel_->translate(addr);
-        std::size_t done = is_write
-            ? cache_->writeBlock(paddr, buffer, size)
-            : cache_->readBlock(paddr, buffer, size);
+        std::size_t done = cache_->accessBlock(paddr, buffer, size, is_write);
         if (done == size)
             return paddr + size;
         if (done > 0)

@@ -262,10 +262,8 @@ PurifyTool::onAccess(VirtAddr addr, std::size_t size, bool is_write)
         reportCorruption(CorruptionKind::UseAfterFree, owner, addr);
     }
 
-    if (states.anyUninit && !is_write) {
-        ++uninitReads_;
+    if (states.anyUninit && !is_write)
         stats_.add(PurifyStat::UninitReads);
-    }
 
     if (is_write) {
         machine_.clock().advance(size * kPurifyShadowByteCycles);

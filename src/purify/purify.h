@@ -110,9 +110,6 @@ class PurifyTool : public Tool
         return leakReports_;
     }
 
-    /** @return count of uninitialised-read events observed. */
-    std::uint64_t uninitReads() const { return uninitReads_; }
-
     /** @return tool statistics. */
     const StatSet &stats() const { return stats_; }
 
@@ -170,7 +167,6 @@ class PurifyTool : public Tool
     /** Live blocks already reported leaked (no duplicates across
      *  sweeps); freeing a block removes its address. */
     std::unordered_set<VirtAddr> reportedLeaked_;
-    std::uint64_t uninitReads_ = 0;
     StatSet stats_{kPurifyStatNames};
 };
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstring>
 #include <list>
 #include <map>
@@ -207,31 +208,32 @@ TEST_F(CacheTest, BlockReadWriteTouchEachLineOnce)
         pattern[i] = static_cast<std::uint8_t>(i * 7);
 
     // 256 bytes starting mid-line: spans lines 0..4 (5 fills).
-    EXPECT_EQ(cache.writeBlock(32, pattern, sizeof(pattern)),
+    EXPECT_EQ(cache.accessBlock(32, pattern, sizeof(pattern), true),
               sizeof(pattern));
     EXPECT_EQ(cache.stats().get("misses"), 5u);
 
     std::uint8_t out[256] = {};
-    EXPECT_EQ(cache.readBlock(32, out, sizeof(out)), sizeof(out));
+    EXPECT_EQ(cache.accessBlock(32, out, sizeof(out), false), sizeof(out));
     EXPECT_EQ(std::memcmp(out, pattern, sizeof(out)), 0);
     EXPECT_EQ(cache.stats().get("misses"), 5u)
-        << "readBlock after writeBlock hits every line";
+        << "the read after the write hits every line";
     EXPECT_EQ(cache.stats().get("hits"), 5u);
 }
 
 TEST_F(CacheTest, BlockReadStopsAtFaultedLine)
 {
-    // Poison the third line of the span; readBlock must return the bytes
-    // completed before the fault so the caller can retry from there.
+    // Poison the third line of the span; accessBlock must return the
+    // bytes completed before the fault so the caller can retry from there.
     memory.flipDataBit(128, 1);
     memory.flipDataBit(128, 2);
     std::uint8_t out[256];
-    EXPECT_EQ(cache.readBlock(0, out, sizeof(out)), 128u);
+    EXPECT_EQ(cache.accessBlock(0, out, sizeof(out), false), 128u);
     EXPECT_EQ(interrupts, 1);
 
     memory.flipDataBit(128, 1);
     memory.flipDataBit(128, 2);
-    EXPECT_EQ(cache.readBlock(128, out + 128, sizeof(out) - 128), 128u);
+    EXPECT_EQ(cache.accessBlock(128, out + 128, sizeof(out) - 128, false),
+              128u);
 }
 
 TEST_F(CacheTest, CrossLineAccessPanics)
@@ -333,17 +335,20 @@ class ReferenceCache
     {
     }
 
+    /** The model keeps a line as plain bytes, not the cache's words. */
+    using Bytes = std::array<std::uint8_t, kCacheLineSize>;
+
     struct Line
     {
         PhysAddr addr;
         bool dirty;
-        LineData data;
+        Bytes data;
     };
 
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
     std::vector<PhysAddr> writtenBack; ///< by the last operation
-    std::map<PhysAddr, LineData> dram;
+    std::map<PhysAddr, Bytes> dram;
 
     /** Bring @p line_addr to the front of its set; @return it. */
     Line &
@@ -445,7 +450,8 @@ TEST_P(CacheReference, MatchesANaiveLruModel)
             if (kind < 45) {
                 std::uint8_t got[kCacheLineSize];
                 ASSERT_TRUE(cache.read(line_addr + offset, got, size));
-                const LineData &want = model.touch(line_addr).data;
+                const ReferenceCache::Bytes &want =
+                    model.touch(line_addr).data;
                 ASSERT_EQ(std::memcmp(got, want.data() + offset, size), 0)
                     << "op " << op << " read " << line_addr + offset;
             } else if (kind < 90) {
@@ -471,12 +477,12 @@ TEST_P(CacheReference, MatchesANaiveLruModel)
             ASSERT_EQ(cache.stats().get("writebacks") - writebacks,
                       model.writtenBack.size()) << "op " << op;
             for (PhysAddr written : model.writtenBack) {
-                const LineData &want = model.dram[written];
-                for (std::size_t w = 0; w < kEccGroupsPerLine; ++w) {
-                    ASSERT_EQ(memory.readWord(written + w * kEccGroupSize),
-                              lineWord(want, w))
-                        << "op " << op << " line " << written;
-                }
+                const LineWords stored = controller.peekLine(written);
+                ASSERT_EQ(std::memcmp(stored.data(),
+                                      model.dram[written].data(),
+                                      kCacheLineSize),
+                          0)
+                    << "op " << op << " line " << written;
             }
         }
         cache.auditResidency();

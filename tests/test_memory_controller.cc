@@ -41,9 +41,9 @@ class ControllerTest : public ::testing::Test
 
 TEST_F(ControllerTest, EvictionEncodesEveryGroup)
 {
-    LineData line{};
+    LineWords line{};
     for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-        setLineWord(line, i, 0x1111111111111111ULL * (i + 1));
+        line[i] = 0x1111111111111111ULL * (i + 1);
     controller.evictLine(128, line);
 
     const EccCodec &code = defaultCodec();
@@ -56,19 +56,19 @@ TEST_F(ControllerTest, EvictionEncodesEveryGroup)
 
 TEST_F(ControllerTest, FillReturnsWrittenData)
 {
-    LineData line{};
-    setLineWord(line, 3, 0xabcdefULL);
+    LineWords line{};
+    line[3] = 0xabcdefULL;
     controller.evictLine(256, line);
 
-    LineData out{};
+    LineWords out{};
     EXPECT_TRUE(controller.fillLine(256, out));
-    EXPECT_EQ(lineWord(out, 3), 0xabcdefULL);
+    EXPECT_EQ(out[3], 0xabcdefULL);
     EXPECT_EQ(interrupts, 0);
 }
 
 TEST_F(ControllerTest, FillChargesDramLatency)
 {
-    LineData out{};
+    LineWords out{};
     Cycles before = clock.now();
     controller.fillLine(0, out);
     EXPECT_EQ(clock.now() - before, kDramLineCycles);
@@ -76,14 +76,14 @@ TEST_F(ControllerTest, FillChargesDramLatency)
 
 TEST_F(ControllerTest, SingleBitErrorCorrectedAndHealed)
 {
-    LineData line{};
-    setLineWord(line, 0, 0x123456789abcdef0ULL);
+    LineWords line{};
+    line[0] = 0x123456789abcdef0ULL;
     controller.evictLine(0, line);
     memory.flipDataBit(0, 42);
 
-    LineData out{};
+    LineWords out{};
     EXPECT_TRUE(controller.fillLine(0, out));
-    EXPECT_EQ(lineWord(out, 0), 0x123456789abcdef0ULL);
+    EXPECT_EQ(out[0], 0x123456789abcdef0ULL);
     EXPECT_EQ(interrupts, 0);
     EXPECT_EQ(controller.stats().get("single_bit_corrected"), 1u);
     // Healed in place: a second fill sees clean memory.
@@ -98,16 +98,16 @@ TEST_F(ControllerTest, CheckBitOnlyErrorCorrectsTransparently)
     // bit — correct fill data, no interrupt, stat bumped, storage
     // healed — without anything downstream treating 64+ as a data
     // index.
-    LineData line{};
-    setLineWord(line, 2, 0x0f0f0f0f0f0f0f0fULL);
+    LineWords line{};
+    line[2] = 0x0f0f0f0f0f0f0f0fULL;
     controller.evictLine(0, line);
     const PhysAddr addr = 2 * kEccGroupSize;
     const std::uint8_t good_check = memory.readCheck(addr);
     memory.flipCheckBit(addr, 6);
 
-    LineData out{};
+    LineWords out{};
     EXPECT_TRUE(controller.fillLine(0, out));
-    EXPECT_EQ(lineWord(out, 2), 0x0f0f0f0f0f0f0f0fULL);
+    EXPECT_EQ(out[2], 0x0f0f0f0f0f0f0f0fULL);
     EXPECT_EQ(interrupts, 0);
     EXPECT_EQ(controller.stats().get("single_bit_corrected"), 1u);
     // Healed in place: the stored check byte is rewritten, so a second
@@ -122,8 +122,8 @@ TEST_F(ControllerTest, CustomCodecDrivesTheDatapath)
     // with it: the check bytes in storage follow the configured code.
     auto code = makeCodec({EccCodecKind::Hsiao, 64, 8});
     MemoryController custom(memory, clock, nullptr, *code);
-    LineData line{};
-    setLineWord(line, 0, 0xfeedULL);
+    LineWords line{};
+    line[0] = 0xfeedULL;
     custom.evictLine(128, line);
     EXPECT_EQ(memory.readCheck(128),
               static_cast<std::uint8_t>(code->encode(0xfeedULL)));
@@ -149,7 +149,7 @@ TEST_F(ControllerTest, MultiBitErrorRaisesInterruptAndFailsFill)
     memory.flipDataBit(64, 1);
     memory.flipDataBit(64, 2);
 
-    LineData out{};
+    LineWords out{};
     EXPECT_FALSE(controller.fillLine(64, out));
     EXPECT_EQ(interrupts, 1);
     EXPECT_EQ(lastFault.kind, EccFaultKind::MultiBit);
@@ -160,14 +160,14 @@ TEST_F(ControllerTest, MultiBitErrorRaisesInterruptAndFailsFill)
 TEST_F(ControllerTest, CheckOnlyModeReportsWithoutCorrecting)
 {
     controller.setMode(EccMode::CheckOnly);
-    LineData line{};
-    setLineWord(line, 0, 0xffULL);
+    LineWords line{};
+    line[0] = 0xffULL;
     controller.setMode(EccMode::CorrectError);
     controller.evictLine(0, line);
     controller.setMode(EccMode::CheckOnly);
     memory.flipDataBit(0, 0);
 
-    LineData out{};
+    LineWords out{};
     EXPECT_TRUE(controller.fillLine(0, out));
     EXPECT_EQ(interrupts, 1);
     EXPECT_EQ(lastFault.kind, EccFaultKind::UnreportedSingle);
@@ -183,8 +183,8 @@ TEST_F(ControllerTest, DisabledModeSkipsChecksAndStalesChecks)
 {
     // Writing a word with ECC disabled leaves the stored check byte
     // stale — the foundation of the WatchMemory scramble.
-    LineData line{};
-    setLineWord(line, 0, 0x1010ULL);
+    LineWords line{};
+    line[0] = 0x1010ULL;
     controller.evictLine(0, line);
     std::uint8_t old_check = memory.readCheck(0);
 
@@ -195,7 +195,7 @@ TEST_F(ControllerTest, DisabledModeSkipsChecksAndStalesChecks)
     EXPECT_EQ(memory.readCheck(0), old_check);
 
     // Reads with ECC disabled never check.
-    LineData out{};
+    LineWords out{};
     EXPECT_TRUE(controller.fillLine(0, out));
     EXPECT_EQ(interrupts, 0);
 
@@ -235,10 +235,7 @@ TEST_F(ControllerTest, LineDeviceWriteFollowsThePerWordRuleInEveryMode)
             controller.setMode(mode);
             const Cycles t0 = clock.now();
             if (evict) {
-                LineData data;
-                for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-                    setLineWord(data, i, words[i]);
-                controller.evictLine(line, data);
+                controller.evictLine(line, words);
                 EXPECT_EQ(clock.now(), t0 + kDramLineCycles);
             } else {
                 controller.writeLineDeviceOp(line, words);
@@ -265,9 +262,9 @@ TEST_F(ControllerTest, LineDeviceWriteFollowsThePerWordRuleInEveryMode)
 
 TEST_F(ControllerTest, PeekLineReturnsAnInjectedFlipUncorrected)
 {
-    LineData line{};
+    LineWords line{};
     for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-        setLineWord(line, i, 0xa5a5a5a5a5a5a5a5ULL + i);
+        line[i] = 0xa5a5a5a5a5a5a5a5ULL + i;
     controller.evictLine(192, line);
     memory.flipDataBit(192 + 5 * kEccGroupSize, 17);
 
@@ -288,9 +285,9 @@ TEST_F(ControllerTest, PeekLineReturnsAnInjectedFlipUncorrected)
 
 TEST_F(ControllerTest, ScrubCorrectsSinglesAndReportsMulti)
 {
-    LineData line{};
-    setLineWord(line, 0, 0xaaaaULL);
-    setLineWord(line, 1, 0xbbbbULL);
+    LineWords line{};
+    line[0] = 0xaaaaULL;
+    line[1] = 0xbbbbULL;
     controller.evictLine(0, line);
     memory.flipDataBit(0, 5);       // single: will be healed
     memory.flipDataBit(8, 1);       // double on word 1: reported
@@ -306,7 +303,7 @@ TEST_F(ControllerTest, BusLockBlocksTransfersViaPanic)
 {
     controller.lockBus();
     EXPECT_TRUE(controller.busLocked());
-    LineData out{};
+    LineWords out{};
     EXPECT_THROW(controller.fillLine(0, out), PanicError);
     EXPECT_THROW(controller.evictLine(0, out), PanicError);
     controller.unlockBus();
@@ -333,7 +330,7 @@ TEST_F(ControllerTest, DoubleBusLockPanics)
 
 TEST_F(ControllerTest, UnalignedFillPanics)
 {
-    LineData out{};
+    LineWords out{};
     EXPECT_THROW(controller.fillLine(12, out), PanicError);
 }
 
@@ -342,7 +339,7 @@ TEST_F(ControllerTest, InterruptWithNoHandlerPanics)
     MemoryController bare(memory, clock);
     memory.flipDataBit(0, 1);
     memory.flipDataBit(0, 2);
-    LineData out{};
+    LineWords out{};
     EXPECT_THROW(bare.fillLine(0, out), PanicError);
 }
 
@@ -398,9 +395,9 @@ class EncodedLineTest : public ControllerTest
     void
     store()
     {
-        LineData line{};
+        LineWords line{};
         for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-            setLineWord(line, i, wordValue(i));
+            line[i] = wordValue(i);
         counted.evictLine(kLine, line);
     }
 
@@ -416,7 +413,7 @@ class EncodedLineTest : public ControllerTest
 
     CountingCodec codec{defaultCodec()};
     MemoryController counted;
-    LineData out{};
+    LineWords out{};
 };
 
 TEST_F(EncodedLineTest, OwnStoreAndZeroFillSkipTheCheck)
@@ -425,7 +422,7 @@ TEST_F(EncodedLineTest, OwnStoreAndZeroFillSkipTheCheck)
     store();
     EXPECT_EQ(fill(), 0u) << "line this controller encoded";
     for (std::size_t i = 0; i < kEccGroupsPerLine; ++i)
-        EXPECT_EQ(lineWord(out, i), wordValue(i));
+        EXPECT_EQ(out[i], wordValue(i));
     EXPECT_EQ(interrupts, 0);
 }
 
@@ -434,7 +431,7 @@ TEST_F(EncodedLineTest, WriteWordPutsTheCheckBack)
     store();
     memory.writeWord(kLine + 8, wordValue(1) ^ (1ULL << 9));
     EXPECT_GT(fill(), 0u);
-    EXPECT_EQ(lineWord(out, 1), wordValue(1)) << "corrected";
+    EXPECT_EQ(out[1], wordValue(1)) << "corrected";
     EXPECT_EQ(counted.stats().get("single_bit_corrected"), 1u);
     EXPECT_EQ(interrupts, 0);
 }
@@ -457,7 +454,7 @@ TEST_F(EncodedLineTest, FlipDataBitPutsTheCheckBack)
     EXPECT_GT(fill(), 0u);
     EXPECT_EQ(interrupts, 1);
     EXPECT_EQ(lastFault.kind, EccFaultKind::UnreportedSingle);
-    EXPECT_EQ(lineWord(out, 3), wordValue(3) ^ (1ULL << 40))
+    EXPECT_EQ(out[3], wordValue(3) ^ (1ULL << 40))
         << "reported, not corrected";
 }
 
@@ -490,11 +487,11 @@ TEST_F(EncodedLineTest, ControllersTrustOnlyTheirOwnEncodes)
     // Two controllers over one DIMM. The counted one wraps the very
     // code the plain one runs, so the plain one's line is clean under
     // it, yet it must check that line rather than skip.
-    LineData line{};
-    setLineWord(line, 0, 0xfeedULL);
+    LineWords line{};
+    line[0] = 0xfeedULL;
     controller.evictLine(kLine, line);
     EXPECT_EQ(fill(), kEccGroupsPerLine);
-    EXPECT_EQ(lineWord(out, 0), 0xfeedULL);
+    EXPECT_EQ(out[0], 0xfeedULL);
 
     // A controller with a different code decodes the counted one's
     // check bytes and finds them wrong.
@@ -505,7 +502,7 @@ TEST_F(EncodedLineTest, ControllersTrustOnlyTheirOwnEncodes)
     store();
     ASSERT_NE(other_code->encode(wordValue(0)),
               defaultCodec().encode(wordValue(0)));
-    LineData other_out{};
+    LineWords other_out{};
     other.fillLine(kLine, other_out);
     EXPECT_GT(other_counter.decodes, 0u);
     EXPECT_GT(other.stats().get("single_bit_corrected") +

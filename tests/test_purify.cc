@@ -244,7 +244,7 @@ TEST_F(PurifyTest, CleanUsageReportsNothing)
     machine.read(addr, data.data(), data.size());
     purify.toolFree(addr);
     EXPECT_TRUE(purify.corruptionReports().empty());
-    EXPECT_EQ(purify.uninitReads(), 0u);
+    EXPECT_EQ(purify.stats().get(PurifyStat::UninitReads), 0u);
 }
 
 TEST_F(PurifyTest, OverflowIntoRedZoneReported)
@@ -309,10 +309,11 @@ TEST_F(PurifyTest, UninitializedReadCounted)
     VirtAddr addr = alloc(64);
     std::uint64_t v;
     machine.read(addr, &v, 8);
-    EXPECT_EQ(purify.uninitReads(), 1u);
+    EXPECT_EQ(purify.stats().get(PurifyStat::UninitReads), 1u);
     machine.write(addr, &v, 8);
     machine.read(addr, &v, 8);
-    EXPECT_EQ(purify.uninitReads(), 1u) << "initialised now";
+    EXPECT_EQ(purify.stats().get(PurifyStat::UninitReads), 1u)
+        << "initialised now";
 }
 
 TEST_F(PurifyTest, CallocCountsAsInitialised)
@@ -322,7 +323,7 @@ TEST_F(PurifyTest, CallocCountsAsInitialised)
     std::uint64_t v;
     machine.read(addr, &v, 8);
     EXPECT_EQ(v, 0u);
-    EXPECT_EQ(purify.uninitReads(), 0u);
+    EXPECT_EQ(purify.stats().get(PurifyStat::UninitReads), 0u);
 }
 
 TEST_F(PurifyTest, ReallocPreservesDataAndStates)
@@ -336,7 +337,8 @@ TEST_F(PurifyTest, ReallocPreservesDataAndStates)
     std::uint64_t out;
     machine.read(grown, &out, 8);
     EXPECT_EQ(out, 0x4242u);
-    EXPECT_EQ(purify.uninitReads(), 0u) << "copied prefix initialised";
+    EXPECT_EQ(purify.stats().get(PurifyStat::UninitReads), 0u)
+        << "copied prefix initialised";
 }
 
 TEST_F(PurifyTest, MarkAndSweepFindsUnreachableBlock)

@@ -205,13 +205,13 @@ TEST(SimCheck, SkippedFillCheckIsAudited)
     CycleClock clock;
     MemoryController controller(memory, clock, nullptr, code);
     controller.setInterruptHandler([](const EccFaultInfo &) {});
-    LineData line{};
-    setLineWord(line, 0, 0x77ULL);
+    LineWords line{};
+    line[0] = 0x77ULL;
     controller.evictLine(0, line);
     code.mask = 0x1;
 
     CollectViolations guard;
-    LineData out{};
+    LineWords out{};
     EXPECT_TRUE(controller.fillLine(0, out));
     EXPECT_TRUE(guard.sawInvariant("encoded_line_clean"));
 }
@@ -222,7 +222,7 @@ TEST(SimCheck, TrafficWhileBusLockedIsReported)
     machine.controller().lockBus();
 
     CollectViolations guard;
-    LineData line{};
+    LineWords line{};
     EXPECT_THROW(machine.controller().fillLine(0, line), PanicError);
     EXPECT_TRUE(guard.sawInvariant("no_traffic_while_locked"));
 
